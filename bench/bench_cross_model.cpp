@@ -3,10 +3,10 @@
 // The paper's line of work moves ruling sets from message-passing models
 // (LOCAL/CONGEST) into MPC. This bench quantifies what the move buys: on a
 // bounded-degree and a heavy-tailed family, compare
-//   congest_luby          Luby MIS in CONGEST            O(log n) rounds
-//   congest_coloring      deterministic Linial MIS       O(palette) rounds
-//   congest_beta2         distance-2 Luby ruling set     O(2 log n) rounds
-//   mpc_det_ruling        the paper's algorithm          O(log log Delta)
+//   luby_congest          Luby MIS in CONGEST            O(log n) rounds
+//   coloring_mis_congest  deterministic Linial MIS       O(palette) rounds
+//   beta_ruling_congest   distance-2 Luby ruling set     O(2 log n) rounds
+//   det_ruling_mpc        the paper's algorithm          O(log log Delta)
 //                                                        phases
 // CONGEST rounds and MPC rounds are not the same currency — the point is
 // the *growth shape* on each side, plus the bits/words ledger.

@@ -28,7 +28,8 @@ std::uint64_t mix(std::uint64_t x) {
 }
 
 // Picks one of four values using two bits of `h` at `slot`.
-double pick(std::uint64_t h, unsigned slot, const double (&choices)[4]) {
+template <typename T>
+T pick(std::uint64_t h, unsigned slot, const T (&choices)[4]) {
   return choices[(h >> (2 * slot)) & 3];
 }
 
@@ -40,6 +41,65 @@ void append_prob(std::string& spec, const char* kind, double p) {
 }
 
 const char* kGenerators[4] = {"gnp", "gnm", "power_law", "tree"};
+
+// The base RunSpec of schedule `s`, shared by every soak: generator
+// rotation, graph shape, seed and machine count. ChaosOptions and
+// ChurnOptions name these fields alike.
+template <typename Options>
+RunSpec schedule_spec(const Options& options, std::uint64_t s) {
+  RunSpec base;
+  base.gen = kGenerators[s % 4];
+  base.n = options.n;
+  base.avg_deg = options.avg_deg;
+  base.seed = options.base_seed + s;
+  base.machines = options.machines;
+  return base;
+}
+
+// Schedule `s`'s run of one algorithm: the base spec under the schedule's
+// fault mix, at a thread width that rotates across schedules so the soaks
+// (and their TSan stages in tools/check_tsan.sh) exercise the parallel
+// barrier pipeline — sharded merge, parallel verify/index, threaded
+// callbacks — not just the sequential path. Results are thread-invariant by
+// construction, and the fault-free oracle (fault_free) shares the width.
+RunSpec faulty_run(const RunSpec& base, std::uint64_t base_seed,
+                   std::uint64_t s, std::string_view algorithm,
+                   std::uint32_t beta) {
+  static constexpr std::uint32_t kSoakThreadWidths[] = {1, 2, 4};
+  RunSpec run = base;
+  run.algorithm = std::string(algorithm);
+  run.beta = beta;
+  run.threads = kSoakThreadWidths[s % 3];
+  run.faults = chaos_fault_spec(base_seed, s);
+  return run;
+}
+
+// The parity oracle's options: `run` without its faults. Faults may only
+// move the cost ledger, so every soaked output must match this run's bits.
+RulingSetOptions fault_free(RunSpec run) {
+  run.faults.clear();
+  return options_from_spec(run);
+}
+
+// Records that `run` (schedule `s`) broke the contract; its fault spec
+// reproduces the failure under `rsets_cli --faults=...`.
+void record_failure(std::vector<ChaosFailure>& failures, std::uint64_t s,
+                    const RunSpec& run, std::string what) {
+  failures.push_back({s, run.algorithm, run.faults, std::move(what)});
+}
+
+// Clean-room in-model certification of `set`, then the independent
+// sequential cross-validation of its certificate. Returns what failed, or
+// "" when both passed.
+std::string certify_failure(const Graph& g, const std::vector<VertexId>& set,
+                            std::uint32_t beta, const mpc::MpcConfig& mpc) {
+  const RulingSetCertificate cert = mpc::certify_ruling_set(g, set, beta, mpc);
+  if (!cert.valid()) return "certification failed: " + cert.to_string();
+  if (!cross_validate_certificate(g, set, cert)) {
+    return "certificate failed sequential cross-validation";
+  }
+  return "";
+}
 
 }  // namespace
 
@@ -69,38 +129,17 @@ std::string chaos_fault_spec(std::uint64_t base_seed, std::uint64_t index) {
 ChaosReport run_chaos_soak(const ChaosOptions& options) {
   ChaosReport report;
   for (std::uint64_t s = 0; s < options.schedules; ++s) {
-    RunSpec base;
-    base.gen = kGenerators[s % 4];
-    base.n = options.n;
-    base.avg_deg = options.avg_deg;
-    base.seed = options.base_seed + s;
-    base.machines = options.machines;
+    RunSpec base = schedule_spec(options, s);
     // Every third schedule checkpoints, so crash recovery exercises both
     // the from-round-zero and the from-durable-checkpoint paths.
     base.checkpoint_every = (s % 3 == 0) ? 2 : 0;
-    const std::string fault_spec =
-        chaos_fault_spec(options.base_seed, s);
     const Graph g = build_graph(base);
 
     for (const AlgorithmInfo& info : algorithm_registry()) {
       if (info.model != Model::kMpc) continue;
-      RunSpec run = base;
-      run.algorithm = std::string(info.name);
-      run.beta = info.min_beta;
-      // Rotate the simulator's thread width across schedules so the soak
-      // (and its TSan stage in tools/check_tsan.sh) exercises the parallel
-      // barrier pipeline — sharded merge, parallel verify/index, threaded
-      // callbacks — not just the sequential path. Results are
-      // thread-invariant by construction; truth and faulty runs share the
-      // width, so the faulty == truth contract is unchanged.
-      static constexpr std::uint32_t kSoakThreadWidths[] = {1, 2, 4};
-      run.threads = kSoakThreadWidths[s % 3];
-
-      // Ground truth: the fault-free execution of the same spec.
-      const RulingSetResult truth =
-          compute_ruling_set(g, options_from_spec(run));
-
-      run.faults = fault_spec;
+      const RunSpec run =
+          faulty_run(base, options.base_seed, s, info.name, info.min_beta);
+      const RulingSetResult truth = compute_ruling_set(g, fault_free(run));
       const RulingSetOptions faulty_options = options_from_spec(run);
       const RulingSetResult faulty = compute_ruling_set(g, faulty_options);
       ++report.runs;
@@ -110,32 +149,19 @@ ChaosReport run_chaos_soak(const ChaosOptions& options) {
       report.quarantined_rounds += faulty.metrics.quarantined_rounds;
       report.recovery_rounds += faulty.metrics.recovery_rounds;
 
-      auto fail = [&](const std::string& what) {
-        ChaosFailure f;
-        f.schedule = s;
-        f.algorithm = run.algorithm;
-        f.fault_spec = fault_spec;
-        f.what = what;
-        report.failures.push_back(std::move(f));
-      };
-
       if (faulty.ruling_set != truth.ruling_set) {
-        fail("faulty output diverged from the fault-free run (size " +
-             std::to_string(faulty.ruling_set.size()) + " vs " +
-             std::to_string(truth.ruling_set.size()) + ")");
+        record_failure(
+            report.failures, s, run,
+            "faulty output diverged from the fault-free run (size " +
+                std::to_string(faulty.ruling_set.size()) + " vs " +
+                std::to_string(truth.ruling_set.size()) + ")");
         continue;
       }
       if (options.certify) {
-        // Clean-room certification of the faulty run's output, then the
-        // independent sequential cross-validation of the certificate.
-        const RulingSetCertificate cert = mpc::certify_ruling_set(
-            g, faulty.ruling_set, run.beta, faulty_options.mpc);
-        if (!cert.valid()) {
-          fail("certification failed: " + cert.to_string());
-          continue;
-        }
-        if (!cross_validate_certificate(g, faulty.ruling_set, cert)) {
-          fail("certificate failed sequential cross-validation");
+        std::string failed = certify_failure(g, faulty.ruling_set, run.beta,
+                                             faulty_options.mpc);
+        if (!failed.empty()) {
+          record_failure(report.failures, s, run, std::move(failed));
           continue;
         }
         ++report.certified;
@@ -153,11 +179,6 @@ namespace {
 // not derived from std::exception so no cleanup path can swallow it.
 struct SimulatedCrash {};
 
-std::uint64_t pick_u64(std::uint64_t h, unsigned slot,
-                       const std::uint64_t (&choices)[4]) {
-  return choices[(h >> (2 * slot)) & 3];
-}
-
 void accumulate(ChurnReport& report, const serve::ServiceMetrics& m) {
   report.epochs += m.epochs;
   report.updates_applied += m.updates_applied;
@@ -172,11 +193,21 @@ void accumulate(ChurnReport& report, const serve::ServiceMetrics& m) {
   report.faults_injected += m.faults_injected;
 }
 
-}  // namespace
+// --- the producer front ----------------------------------------------------
 
-namespace {
+// How schedule `s` poisons one producer's stream: kEject strikes it until
+// ejection and a journaled tombstone; kHeal strikes it once, after which it
+// drops the poison line and recovers from quarantine. Poisoning needs a
+// second producer: ejecting a lone producer would end its stream and skip
+// the rest of the schedule's churn.
+enum class Poison : std::uint8_t { kNone, kEject, kHeal };
 
-// --- concurrent multi-producer front -------------------------------------
+Poison poison_flavor(const ChurnOptions& options, std::uint64_t s) {
+  if (options.producers < 2) return Poison::kNone;
+  if (s % 4 == 1) return Poison::kEject;
+  if (s % 4 == 3) return Poison::kHeal;
+  return Poison::kNone;
+}
 
 // One producer's scripted stream: protocol lines per batch, plus where (if
 // anywhere) its stream is poisoned and how the producer reacts to a strike.
@@ -241,13 +272,15 @@ serve::PushStatus producer_step(serve::MultiProducerIngest& ingest,
   return status;
 }
 
+// Splits schedule `s`'s churn across the producers: producer p's batch b is
+// chaos_churn_batch number b * producers + p, so a lone producer streams
+// exactly the schedule's batches 0..batches-1.
 std::vector<ProducerScript> build_producer_scripts(const ChurnOptions& options,
-                                                   std::uint64_t s) {
+                                                   std::uint64_t s,
+                                                   Poison poison) {
   const std::uint32_t producers = options.producers;
   const std::uint64_t per_batch =
       std::max<std::uint64_t>(1, options.batch_updates / producers);
-  const bool eject_flavor = s % 4 == 1;
-  const bool heal_flavor = s % 4 == 3;
   const auto poisoned = static_cast<std::uint32_t>(s % producers);
   std::vector<ProducerScript> scripts(producers);
   for (std::uint32_t p = 0; p < producers; ++p) {
@@ -256,11 +289,11 @@ std::vector<ProducerScript> build_producer_scripts(const ChurnOptions& options,
       const serve::UpdateBatch batch = chaos_churn_batch(
           options.base_seed, s, b * producers + p, options.n, per_batch);
       std::vector<std::string> lines;
-      if ((eject_flavor || heal_flavor) && p == poisoned &&
+      if (poison != Poison::kNone && p == poisoned &&
           b == options.batches / 2) {
         lines.push_back("+ 1 1");  // self-loop: malformed, costs a strike
         script.poison_batch = b;
-        script.heal = heal_flavor;
+        script.heal = poison == Poison::kHeal;
       }
       for (const serve::EdgeUpdate& u : batch.updates) {
         lines.push_back(serve::to_line(u));
@@ -430,16 +463,15 @@ serve::UpdateBatch chaos_churn_batch(std::uint64_t base_seed,
   return out;
 }
 
-namespace {
-
-// The concurrent counterpart of run_churn_soak (ChurnOptions::producers > 1):
-// every schedule routes its update stream through a MultiProducerIngest
+// Every schedule routes its update stream through a MultiProducerIngest
 // driven by a seeded line-interleaving scheduler, and the parity battery
-// additionally pins generation alignment against the canonical per-producer
-// replay, producer quarantine/ejection semantics, epoch-pinned point
-// queries, and final bit-identity against a single-producer twin.
-ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
+// pins generation alignment against the canonical per-producer replay,
+// producer quarantine/ejection semantics, epoch-pinned point queries, and
+// final bit-identity against a single-producer twin.
+ChurnReport run_churn_soak(const ChurnOptions& options) {
   ChurnReport report;
+  // The MPC registry plus the sequential greedy backend (the exact
+  // β-hop-cascade repair path).
   std::vector<const AlgorithmInfo*> algorithms;
   algorithms.push_back(&algorithm_info(Algorithm::kGreedySequential));
   for (const AlgorithmInfo& info : algorithm_registry()) {
@@ -447,19 +479,14 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
   }
 
   for (std::uint64_t s = 0; s < options.schedules; ++s) {
-    RunSpec base;
-    base.gen = kGenerators[s % 4];
-    base.n = options.n;
-    base.avg_deg = options.avg_deg;
-    base.seed = options.base_seed + s;
-    base.machines = options.machines;
-    const std::string fault_spec = chaos_fault_spec(options.base_seed, s);
+    const RunSpec base = schedule_spec(options, s);
     const Graph g = build_graph(base);
 
+    // Service-shape knobs rotate independently of the fault spec so the
+    // admission/deferral/escalation paths all see every fault mix.
     const std::uint64_t h = mix(options.base_seed ^ mix(s ^ 0x5ca1ab1eull));
     const bool crash_schedule = !options.journal_dir.empty() && s % 3 == 0;
-    const bool eject_flavor = s % 4 == 1;
-    const bool heal_flavor = s % 4 == 3;
+    const Poison poison = poison_flavor(options, s);
     const auto poisoned = static_cast<std::uint32_t>(s % options.producers);
 
     // Producer scripts and the canonical generation alignment they must
@@ -470,20 +497,15 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
     ishape.queue_cap = options.queue_cap;
     ishape.num_vertices = static_cast<VertexId>(options.n);
     const std::vector<ProducerScript> scripts =
-        build_producer_scripts(options, s);
+        build_producer_scripts(options, s, poison);
     const std::vector<serve::UpdateBatch> expected =
         expected_generations(canonical_producer_batches(scripts, ishape));
 
     for (const AlgorithmInfo* info : algorithms) {
-      RunSpec run = base;
-      run.algorithm = std::string(info->name);
-      run.beta = info->max_beta == 0 ? std::max(info->min_beta, 2u)
-                                     : info->min_beta;
-      static constexpr std::uint32_t kSoakThreadWidths[] = {1, 2, 4};
-      run.threads = kSoakThreadWidths[s % 3];
-
-      const RulingSetOptions truth_options = options_from_spec(run);
-      run.faults = fault_spec;
+      const RunSpec run = faulty_run(
+          base, options.base_seed, s, info->name,
+          info->max_beta == 0 ? std::max(info->min_beta, 2u) : info->min_beta);
+      const RulingSetOptions truth_options = fault_free(run);
 
       std::vector<std::string> service_lines;
       serve::ServiceConfig cfg;
@@ -492,57 +514,45 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
           [&service_lines](const mpc::RoundTrace& trace) {
             service_lines.push_back(record_line(trace));
           };
-      cfg.admit_budget = pick_u64(h, 0, {0, 4, 8, 16});
-      cfg.max_epochs_per_apply = pick_u64(h, 1, {0, 0, 2, 3});
-      cfg.full_certify_every = pick_u64(h, 2, {1, 4, 8, 16});
+      cfg.admit_budget = pick<std::uint64_t>(h, 0, {0, 4, 8, 16});
+      cfg.max_epochs_per_apply = pick<std::uint64_t>(h, 1, {0, 0, 2, 3});
+      cfg.full_certify_every = pick<std::uint64_t>(h, 2, {1, 4, 8, 16});
       cfg.full_threshold = pick(h, 3, {0.02, 0.05, 0.1, 0.3});
       // Half the schedules arm the watchdog with a deadline far above any
       // soak-sized repair: the armed path must not perturb parity (tripping
       // it is a deliberate unit-test scenario, not a soak flavor).
-      cfg.watchdog_deadline = pick_u64(h, 4, {0, 0, 1u << 20, 1u << 20});
+      cfg.watchdog_deadline =
+          pick<std::uint64_t>(h, 4, {0, 0, 1u << 20, 1u << 20});
       if (!options.journal_dir.empty()) {
-        cfg.journal_path = options.journal_dir + "/cchurn_s" +
+        cfg.journal_path = options.journal_dir + "/churn_p" +
+                           std::to_string(options.producers) + "_s" +
                            std::to_string(s) + "_" + run.algorithm + ".rsj";
       }
 
-      auto fail = [&](const std::string& what) {
-        ChaosFailure f;
-        f.schedule = s;
-        f.algorithm = run.algorithm;
-        f.fault_spec = fault_spec;
-        f.what = what;
-        report.failures.push_back(std::move(f));
-      };
-
       try {
         serve::MultiProducerIngest ingest(ishape);
-        std::vector<ProducerState> states(options.producers);
         serve::RulingSetService service(g, cfg);
-
         std::vector<serve::UpdateBatch> applied;
-        const std::size_t crash_generation = expected.size() / 2;
         bool crashed_any = false;
-        bool schedule_failed = false;
 
         // Journals ready tombstones, then applies every aligned generation,
         // running the parity battery after each: canonical alignment, oracle
         // set identity, single-rerun ledger + record-log comparison,
         // brute-forced point queries, and epoch-pinning of a handle taken
-        // before the commit.
-        auto pump = [&] {
+        // before the commit. Returns the first broken contract, "" if none.
+        auto pump = [&]() -> std::string {
           for (const serve::ProducerTombstone& t : ingest.take_tombstones()) {
             service.record_tombstone(t);
           }
-          std::optional<serve::UpdateBatch> gen;
-          while (!schedule_failed && (gen = ingest.take_generation())) {
+          while (std::optional<serve::UpdateBatch> gen =
+                     ingest.take_generation()) {
             const std::size_t index = applied.size();
+            const std::string at = std::to_string(index);
             applied.push_back(*gen);
             if (index >= expected.size() ||
                 !(gen->updates == expected[index].updates)) {
-              fail("generation " + std::to_string(index) +
-                   " diverged from the canonical producer alignment");
-              schedule_failed = true;
-              return;
+              return "generation " + at +
+                     " diverged from the canonical producer alignment";
             }
 
             const serve::QueryHandle pinned = service.query();
@@ -550,10 +560,12 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
             const std::uint64_t pinned_epoch = pinned->epoch();
             const serve::PointQueryResult before = pinned->nearest_member(probe);
 
+            // Every third schedule kills the service at the pre-commit
+            // stage of its middle generation and recovers it from the
+            // journal.
             service_lines.clear();
-            const bool crash_here =
-                crash_schedule && !crashed_any && index == crash_generation;
-            bool crashed = false;
+            const bool crash_here = crash_schedule && !crashed_any &&
+                                    index == expected.size() / 2;
             const std::uint64_t epoch_before = service.epoch();
             if (crash_here) {
               service.crash_hook = [](std::string_view stage) {
@@ -564,18 +576,18 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
             try {
               breport = service.apply(*gen);
             } catch (const SimulatedCrash&) {
-              crashed = true;
-            }
-            if (crashed) {
               crashed_any = true;
               ++report.crashes_injected;
               accumulate(report, service.metrics());
               service = serve::RulingSetService::recover(cfg);
               service_lines.clear();
+              // A batch is durably admitted at its first epoch commit; a
+              // crash before that means the client must resubmit it.
               breport = service.epoch() == epoch_before ? service.apply(*gen)
                                                         : service.drain();
             }
             service.crash_hook = nullptr;
+            // Drain deferrals so the parity check sees the whole generation.
             while (service.pending() > 0) {
               const serve::BatchReport more = service.drain();
               breport.epochs += more.epochs;
@@ -587,13 +599,11 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
             const RulingSetResult oracle =
                 compute_ruling_set(service.snapshot(), truth_options);
             if (service.ruling_set() != oracle.ruling_set) {
-              fail("incremental set diverged from from-scratch recompute at "
-                   "generation " +
-                   std::to_string(index) + " (size " +
-                   std::to_string(service.ruling_set().size()) + " vs " +
-                   std::to_string(oracle.ruling_set.size()) + ")");
-              schedule_failed = true;
-              return;
+              return "incremental set diverged from from-scratch recompute "
+                     "at generation " +
+                     at + " (size " +
+                     std::to_string(service.ruling_set().size()) + " vs " +
+                     std::to_string(oracle.ruling_set.size()) + ")";
             }
             // When the generation committed as exactly one un-retried rerun,
             // the whole repair ledger and the record-log bodies must match a
@@ -612,36 +622,26 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
                   compute_ruling_set(service.snapshot(), oracle_options);
               if (!mpc_metrics_equal(service.last_repair_result().metrics,
                                      rerun.metrics)) {
-                fail("repair cost ledger diverged from the from-scratch rerun "
-                     "at generation " +
-                     std::to_string(index));
-                schedule_failed = true;
-                return;
+                return "repair cost ledger diverged from the from-scratch "
+                       "rerun at generation " + at;
               }
               if (service_lines != oracle_lines) {
-                fail("record-log bodies diverged from the from-scratch rerun "
-                     "at generation " +
-                     std::to_string(index));
-                schedule_failed = true;
-                return;
+                return "record-log bodies diverged from the from-scratch "
+                       "rerun at generation " + at;
               }
             }
 
             // A fresh handle reflects exactly the committed epoch...
             const serve::QueryHandle fresh = service.query();
             if (fresh->epoch() != service.epoch()) {
-              fail("fresh query handle is not at the committed epoch");
-              schedule_failed = true;
-              return;
+              return "fresh query handle is not at the committed epoch";
             }
             for (int q = 0; q < 3; ++q) {
               const auto v =
                   static_cast<VertexId>(mix(h + 31 * index + q) % options.n);
               if (!point_query_consistent(*fresh, v)) {
-                fail("point query inconsistent with brute force at epoch " +
-                     std::to_string(service.epoch()));
-                schedule_failed = true;
-                return;
+                return "point query inconsistent with brute force at epoch " +
+                       std::to_string(service.epoch());
               }
               ++report.query_checks;
             }
@@ -651,82 +651,70 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
                 after.covered != before.covered ||
                 (after.covered && (after.member != before.member ||
                                    after.distance != before.distance))) {
-              fail("epoch-pinned query handle changed across a commit");
-              schedule_failed = true;
-              return;
+              return "epoch-pinned query handle changed across a commit";
             }
           }
+          return "";
         };
 
         // Seeded interleaving: pick any unfinished producer, advance it one
         // push attempt, pump on backpressure and periodically. Different
         // schedules (and the mix stream) visit different interleavings; the
         // alignment check above proves the service never sees them.
-        std::uint64_t rng = mix(h ^ 0xC0FFEEull);
-        std::uint64_t steps = 0;
-        while (!schedule_failed) {
-          std::vector<std::uint32_t> active;
-          for (std::uint32_t p = 0; p < options.producers; ++p) {
-            if (!states[p].done) active.push_back(p);
+        auto interleave = [&]() -> std::string {
+          std::vector<ProducerState> states(options.producers);
+          std::uint64_t rng = mix(h ^ 0xC0FFEEull);
+          for (std::uint64_t steps = 1;; ++steps) {
+            std::vector<std::uint32_t> active;
+            for (std::uint32_t p = 0; p < options.producers; ++p) {
+              if (!states[p].done) active.push_back(p);
+            }
+            if (active.empty()) break;
+            rng = mix(rng);
+            const std::uint32_t p = active[rng % active.size()];
+            const serve::PushStatus status =
+                producer_step(ingest, p, scripts[p], states[p]);
+            if (status == serve::PushStatus::kWouldBlock || steps % 7 == 0) {
+              std::string failed = pump();
+              if (!failed.empty()) return failed;
+            }
           }
-          if (active.empty()) break;
-          rng = mix(rng);
-          const std::uint32_t p = active[rng % active.size()];
-          const serve::PushStatus status =
-              producer_step(ingest, p, scripts[p], states[p]);
-          ++steps;
-          if (status == serve::PushStatus::kWouldBlock || steps % 7 == 0) {
-            pump();
-          }
-        }
-        if (!schedule_failed) {
           ingest.close_all();
-          pump();  // once all streams closed, every queued batch is takeable
-        }
+          return pump();  // once all streams closed, every batch is takeable
+        };
 
-        const serve::IngestMetrics im = ingest.metrics();
-        report.generations += im.generations;
-        report.backpressure += im.backpressure;
-        report.producer_strikes += im.strikes;
-        report.producer_ejections += im.ejections;
-
-        if (!schedule_failed && !ingest.drained()) {
-          fail("ingest front not drained after close_all");
-          schedule_failed = true;
-        }
-        if (!schedule_failed && applied.size() != expected.size()) {
-          fail("applied " + std::to_string(applied.size()) +
-               " generations, canonical alignment has " +
-               std::to_string(expected.size()));
-          schedule_failed = true;
-        }
-        if (!schedule_failed && eject_flavor) {
-          if (!ingest.ejected(poisoned) || im.ejections != 1) {
-            fail("poisoned producer was not ejected");
-            schedule_failed = true;
-          } else {
-            bool journaled = false;
-            for (const serve::ProducerTombstone& t : service.tombstones()) {
-              journaled = journaled || t.producer == poisoned;
+        // After the run: the front drained into exactly the canonical
+        // alignment, the poison flavor behaved, and the uncrashed
+        // single-producer twin fed the merged sequence from scratch lands
+        // on the same final bits (and, on crash-free schedules, the same
+        // twin-comparable metrics ledger).
+        auto verify_run = [&](const serve::IngestMetrics& im) -> std::string {
+          if (!ingest.drained()) {
+            return "ingest front not drained after close_all";
+          }
+          if (applied.size() != expected.size()) {
+            return "applied " + std::to_string(applied.size()) +
+                   " generations, canonical alignment has " +
+                   std::to_string(expected.size());
+          }
+          if (poison == Poison::kEject) {
+            if (!ingest.ejected(poisoned) || im.ejections != 1) {
+              return "poisoned producer was not ejected";
             }
-            if (!journaled) {
-              fail("ejection tombstone was not journaled");
-              schedule_failed = true;
+            const auto& tombstones = service.tombstones();
+            if (std::none_of(tombstones.begin(), tombstones.end(),
+                             [&](const serve::ProducerTombstone& t) {
+                               return t.producer == poisoned;
+                             })) {
+              return "ejection tombstone was not journaled";
             }
           }
-        }
-        if (!schedule_failed && heal_flavor &&
-            (im.ejections != 0 || im.strikes == 0)) {
-          fail("healing producer should strike and recover, saw " +
-               std::to_string(im.strikes) + " strikes / " +
-               std::to_string(im.ejections) + " ejections");
-          schedule_failed = true;
-        }
-
-        // The uncrashed single-producer twin fed the merged sequence from
-        // scratch: final bits must match, and on crash-free schedules so
-        // must the whole twin-comparable metrics ledger.
-        if (!schedule_failed) {
+          if (poison == Poison::kHeal &&
+              (im.ejections != 0 || im.strikes == 0)) {
+            return "healing producer should strike and recover, saw " +
+                   std::to_string(im.strikes) + " strikes / " +
+                   std::to_string(im.ejections) + " ejections";
+          }
           serve::ServiceConfig twin_cfg = cfg;
           twin_cfg.options.mpc.trace_hook = nullptr;
           if (!twin_cfg.journal_path.empty()) twin_cfg.journal_path += ".twin";
@@ -736,185 +724,52 @@ ChurnReport run_concurrent_churn_soak(const ChurnOptions& options) {
             while (twin.pending() > 0) twin.drain();
           }
           if (twin.ruling_set() != service.ruling_set()) {
-            fail("final set diverged from the single-producer twin");
-            schedule_failed = true;
-          } else if (twin.graph().fingerprint() !=
-                     service.graph().fingerprint()) {
-            fail("final graph fingerprint diverged from the twin");
-            schedule_failed = true;
-          } else if (twin.epoch() != service.epoch()) {
-            fail("final epoch diverged from the twin");
-            schedule_failed = true;
-          } else if (twin.metrics().heartbeats !=
-                     service.metrics().heartbeats) {
-            fail("heartbeat position diverged from the twin (" +
-                 std::to_string(service.metrics().heartbeats) + " vs " +
-                 std::to_string(twin.metrics().heartbeats) + ")");
-            schedule_failed = true;
-          } else if (!crashed_any && !service_ledgers_equal(
-                                         twin.metrics(), service.metrics())) {
-            fail("service metrics ledger diverged from the twin");
-            schedule_failed = true;
+            return "final set diverged from the single-producer twin";
           }
-        }
+          if (twin.graph().fingerprint() != service.graph().fingerprint()) {
+            return "final graph fingerprint diverged from the twin";
+          }
+          if (twin.epoch() != service.epoch()) {
+            return "final epoch diverged from the twin";
+          }
+          if (twin.metrics().heartbeats != service.metrics().heartbeats) {
+            return "heartbeat position diverged from the twin (" +
+                   std::to_string(service.metrics().heartbeats) + " vs " +
+                   std::to_string(twin.metrics().heartbeats) + ")";
+          }
+          if (!crashed_any &&
+              !service_ledgers_equal(twin.metrics(), service.metrics())) {
+            return "service metrics ledger diverged from the twin";
+          }
+          return "";
+        };
+
+        std::string failed = interleave();
+        const serve::IngestMetrics im = ingest.metrics();
+        report.generations += im.generations;
+        report.backpressure += im.backpressure;
+        report.producer_strikes += im.strikes;
+        report.producer_ejections += im.ejections;
+        if (failed.empty()) failed = verify_run(im);
 
         ++report.runs;
-        if (!schedule_failed && options.certify) {
-          const Graph final_graph = service.snapshot();
-          const RulingSetCertificate cert = mpc::certify_ruling_set(
-              final_graph, service.ruling_set(), run.beta, cfg.options.mpc);
-          if (!cert.valid()) {
-            fail("final certification failed: " + cert.to_string());
-          } else if (!cross_validate_certificate(final_graph,
-                                                 service.ruling_set(), cert)) {
-            fail("final certificate failed sequential cross-validation");
-          } else {
+        if (failed.empty() && options.certify) {
+          failed = certify_failure(service.snapshot(), service.ruling_set(),
+                                   run.beta, cfg.options.mpc);
+          if (failed.empty()) {
             ++report.certified;
+          } else {
+            failed = "final " + failed;
           }
+        }
+        if (!failed.empty()) {
+          record_failure(report.failures, s, run, std::move(failed));
         }
         accumulate(report, service.metrics());
         report.heartbeats += service.metrics().heartbeats;
       } catch (const serve::ServiceError& e) {
-        fail(std::string("service error: ") + e.what());
-        ++report.runs;
-      }
-    }
-    ++report.schedules_run;
-    if (options.progress) options.progress(s + 1, report.runs);
-  }
-  return report;
-}
-
-}  // namespace
-
-ChurnReport run_churn_soak(const ChurnOptions& options) {
-  if (options.producers > 1) return run_concurrent_churn_soak(options);
-  ChurnReport report;
-  // The MPC registry plus the sequential greedy backend (the exact
-  // β-hop-cascade repair path).
-  std::vector<const AlgorithmInfo*> algorithms;
-  algorithms.push_back(&algorithm_info(Algorithm::kGreedySequential));
-  for (const AlgorithmInfo& info : algorithm_registry()) {
-    if (info.model == Model::kMpc) algorithms.push_back(&info);
-  }
-
-  for (std::uint64_t s = 0; s < options.schedules; ++s) {
-    RunSpec base;
-    base.gen = kGenerators[s % 4];
-    base.n = options.n;
-    base.avg_deg = options.avg_deg;
-    base.seed = options.base_seed + s;
-    base.machines = options.machines;
-    const std::string fault_spec = chaos_fault_spec(options.base_seed, s);
-    const Graph g = build_graph(base);
-
-    // Service-shape knobs rotate independently of the fault spec so the
-    // admission/deferral/escalation paths all see every fault mix.
-    const std::uint64_t h = mix(options.base_seed ^ mix(s ^ 0x5ca1ab1eull));
-    const bool crash_schedule = !options.journal_dir.empty() && s % 3 == 0;
-
-    for (const AlgorithmInfo* info : algorithms) {
-      RunSpec run = base;
-      run.algorithm = std::string(info->name);
-      run.beta = info->max_beta == 0 ? std::max(info->min_beta, 2u)
-                                     : info->min_beta;
-      static constexpr std::uint32_t kSoakThreadWidths[] = {1, 2, 4};
-      run.threads = kSoakThreadWidths[s % 3];
-
-      // Fault-free from-scratch options: the parity oracle. The service
-      // itself runs under the fault schedule — faults may only move the
-      // cost ledger, so the maintained bits must still match this oracle.
-      const RulingSetOptions truth_options = options_from_spec(run);
-      run.faults = fault_spec;
-
-      serve::ServiceConfig cfg;
-      cfg.options = options_from_spec(run);
-      cfg.admit_budget = pick_u64(h, 0, {0, 4, 8, 16});
-      cfg.max_epochs_per_apply = pick_u64(h, 1, {0, 0, 2, 3});
-      cfg.full_certify_every = pick_u64(h, 2, {1, 4, 8, 16});
-      cfg.full_threshold =
-          pick(h, 3, {0.02, 0.05, 0.1, 0.3});
-      if (!options.journal_dir.empty()) {
-        cfg.journal_path = options.journal_dir + "/churn_s" +
-                           std::to_string(s) + "_" + run.algorithm + ".rsj";
-      }
-
-      auto fail = [&](const std::string& what) {
-        ChaosFailure f;
-        f.schedule = s;
-        f.algorithm = run.algorithm;
-        f.fault_spec = fault_spec;
-        f.what = what;
-        report.failures.push_back(std::move(f));
-      };
-
-      try {
-        serve::RulingSetService service(g, cfg);
-        const std::uint64_t crash_batch = options.batches / 2;
-        bool schedule_failed = false;
-        for (std::uint64_t b = 0; b < options.batches; ++b) {
-          const serve::UpdateBatch batch = chaos_churn_batch(
-              options.base_seed, s, b, options.n, options.batch_updates);
-          const bool crash_here = crash_schedule && b == crash_batch;
-          bool crashed = false;
-          const std::uint64_t epoch_before = service.epoch();
-          if (crash_here) {
-            service.crash_hook = [](std::string_view stage) {
-              if (stage == "pre-commit") throw SimulatedCrash{};
-            };
-          }
-          serve::BatchReport breport;
-          try {
-            breport = service.apply(batch);
-          } catch (const SimulatedCrash&) {
-            crashed = true;
-          }
-          if (crashed) {
-            ++report.crashes_injected;
-            accumulate(report, service.metrics());
-            service = serve::RulingSetService::recover(cfg);
-            // A batch is durably admitted at its first epoch commit; a
-            // crash before that means the client must resubmit it.
-            breport = service.epoch() == epoch_before ? service.apply(batch)
-                                                      : service.drain();
-          }
-          // Drain deferrals so the parity check sees the whole batch.
-          while (service.pending() > 0) {
-            const serve::BatchReport more = service.drain();
-            breport.epochs += more.epochs;
-          }
-          ++report.batches_applied;
-          report.updates_deferred += breport.deferred;
-
-          const RulingSetResult oracle =
-              compute_ruling_set(service.snapshot(), truth_options);
-          if (service.ruling_set() != oracle.ruling_set) {
-            fail("incremental set diverged from from-scratch recompute at "
-                 "batch " +
-                 std::to_string(b) + " (size " +
-                 std::to_string(service.ruling_set().size()) + " vs " +
-                 std::to_string(oracle.ruling_set.size()) + ")");
-            schedule_failed = true;
-            break;
-          }
-        }
-        ++report.runs;
-        if (!schedule_failed && options.certify) {
-          const Graph final_graph = service.snapshot();
-          const RulingSetCertificate cert = mpc::certify_ruling_set(
-              final_graph, service.ruling_set(), run.beta, cfg.options.mpc);
-          if (!cert.valid()) {
-            fail("final certification failed: " + cert.to_string());
-          } else if (!cross_validate_certificate(
-                         final_graph, service.ruling_set(), cert)) {
-            fail("final certificate failed sequential cross-validation");
-          } else {
-            ++report.certified;
-          }
-        }
-        accumulate(report, service.metrics());
-      } catch (const serve::ServiceError& e) {
-        fail(std::string("service error: ") + e.what());
+        record_failure(report.failures, s, run,
+                       std::string("service error: ") + e.what());
         ++report.runs;
       }
     }

@@ -76,14 +76,16 @@ ChaosReport run_chaos_soak(const ChaosOptions& options);
 // The long-lived-service counterpart of run_chaos_soak: each schedule builds
 // a resident RulingSetService per algorithm (the MPC registry plus the
 // sequential greedy backend, whose exact cascade repair is the locality
-// showcase), then drives seeded update batches through it under the same
-// mixed fault specification, rotating admission budgets, deferral limits,
-// escalation thresholds, and simulator thread widths. The contract checked
-// after every drained batch: the incrementally maintained set is
+// showcase), then feeds seeded update batches to it through a
+// MultiProducerIngest front under the same mixed fault specification,
+// rotating admission budgets, deferral limits, escalation thresholds,
+// watchdog arming, and simulator thread widths. The contract checked after
+// every drained generation: the incrementally maintained set is
 // bit-identical to a from-scratch, fault-free recompute on the current
-// graph. Every third schedule also kills the service mid-batch (a
+// graph. Every third schedule also kills the service mid-generation (a
 // crash_hook throw at the pre-commit stage), recovers it from the sealed
-// journal, and finishes the batch — recovery must land on the same bits.
+// journal, and finishes the generation — recovery must land on the same
+// bits.
 
 struct ChurnOptions {
   std::uint64_t schedules = 100;
@@ -93,7 +95,8 @@ struct ChurnOptions {
   std::uint64_t n = 300;
   double avg_deg = 5.0;
   std::uint32_t machines = 8;
-  // Update batches pushed through each service and raw updates per batch.
+  // Update batches per producer, and raw updates per generation (split
+  // evenly across the producers).
   std::uint64_t batches = 5;
   std::uint64_t batch_updates = 24;
   // Run the full in-model certification + sequential cross-validation on
@@ -104,24 +107,26 @@ struct ChurnOptions {
   // crash/recovery exercise (quick in-memory smoke). The soak writes one
   // journal per (schedule, algorithm) and leaves cleanup to the caller.
   std::string journal_dir;
-  // Concurrent multi-producer front (PR 9): producers > 1 routes every
-  // schedule's update batches through a MultiProducerIngest driven by a
-  // seeded line-interleaving scheduler. Schedule flavors poison one
+  // Producer streams the schedule's churn is split across (batch b of
+  // producer p is chaos_churn_batch b * producers + p); a seeded
+  // line-interleaving scheduler drives them into one MultiProducerIngest.
+  // Checks per service: (1) the taken generations are exactly the canonical
+  // per-producer batch alignment (merge determinism under any
+  // interleaving), (2) every drained state matches a from-scratch
+  // fault-free recompute bit-for-bit, with the repair ledger and record-log
+  // bodies compared whenever a single-epoch rerun happened, (3) the final
+  // state is bit-identical (set + graph fingerprint + epoch + heartbeats;
+  // full metrics ledger on crash-free schedules) to a single-producer twin
+  // service fed the merged sequence from scratch, and (4) epoch-pinned point
+  // queries answered between commits reflect exactly the last committed
+  // epoch. With two or more producers, schedule flavors also poison one
   // producer's stream (s%4==1: repeated strikes until ejection + tombstone;
   // s%4==3: one strike, then the producer heals and recovers from
-  // quarantine), and the checks per schedule are: (1) the taken generations
-  // are exactly the canonical per-producer batch alignment (merge
-  // determinism under any interleaving), (2) every drained state matches a
-  // from-scratch fault-free recompute bit-for-bit, with the repair ledger
-  // and record-log bodies compared whenever a single-epoch rerun happened,
-  // (3) the final state is bit-identical (set + graph fingerprint + epoch +
-  // heartbeats; full metrics ledger on crash-free schedules) to a
-  // single-producer twin service fed the merged sequence from scratch, and
-  // (4) epoch-pinned point queries answered between commits reflect exactly
-  // the last committed epoch. producers == 1 is the classic path.
+  // quarantine); a lone producer is never poisoned, since ejecting it would
+  // end the schedule's churn.
   std::uint32_t producers = 1;
-  // Per-producer committed-batch queue cap for the concurrent front
-  // (exercises backpressure); 0 = unbounded.
+  // Per-producer committed-batch queue cap of the ingest front (exercises
+  // backpressure); 0 = unbounded.
   std::uint64_t queue_cap = 2;
   // Optional progress callback: (schedules finished, service runs finished).
   std::function<void(std::uint64_t, std::uint64_t)> progress;
@@ -130,7 +135,7 @@ struct ChurnOptions {
 struct ChurnReport {
   std::uint64_t schedules_run = 0;
   std::uint64_t runs = 0;  // service lifetimes (algorithms x schedules)
-  std::uint64_t batches_applied = 0;
+  std::uint64_t batches_applied = 0;  // generations applied and checked
   std::uint64_t epochs = 0;
   std::uint64_t updates_applied = 0;
   std::uint64_t updates_deferred = 0;
@@ -147,7 +152,8 @@ struct ChurnReport {
   std::uint64_t crashes_injected = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t certified = 0;  // final states that passed full certification
-  // Concurrent-front ledger (producers > 1; zero on the classic path).
+  // Ingest-front ledger (non-zero for any producer count; strikes and
+  // ejections only with two or more producers).
   std::uint64_t generations = 0;         // aligned generations applied
   std::uint64_t backpressure = 0;        // pushes bounced/blocked by the cap
   std::uint64_t producer_strikes = 0;    // malformed/integrity strikes

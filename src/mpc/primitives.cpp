@@ -1,23 +1,10 @@
 #include "mpc/primitives.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <stdexcept>
 
 namespace rsets::mpc {
-
-Word pack_double(double x) {
-  Word w;
-  static_assert(sizeof(Word) == sizeof(double));
-  std::memcpy(&w, &x, sizeof(w));
-  return w;
-}
-
-double unpack_double(Word w) {
-  double x;
-  std::memcpy(&x, &w, sizeof(x));
-  return x;
-}
 
 std::vector<std::vector<Word>> broadcast(Simulator& sim, MachineId root,
                                          const std::vector<Word>& payload,
@@ -77,18 +64,20 @@ std::vector<double> allreduce_sum(
       throw std::invalid_argument("allreduce_sum: ragged contributions");
     }
     packed[m].reserve(width);
-    for (double x : contributions[m]) packed[m].push_back(pack_double(x));
+    for (double x : contributions[m]) {
+      packed[m].push_back(std::bit_cast<Word>(x));
+    }
   }
   const auto at_root = gather_to(sim, 0, packed, tag);
   std::vector<double> total(width, 0.0);
   for (const auto& vec : at_root) {
     for (std::size_t i = 0; i < width; ++i) {
-      total[i] += unpack_double(vec[i]);
+      total[i] += std::bit_cast<double>(vec[i]);
     }
   }
   std::vector<Word> packed_total;
   packed_total.reserve(width);
-  for (double x : total) packed_total.push_back(pack_double(x));
+  for (double x : total) packed_total.push_back(std::bit_cast<Word>(x));
   broadcast(sim, 0, packed_total, tag + 1);
   return total;
 }
@@ -110,7 +99,7 @@ std::vector<double> allreduce_sum_compute(
     }
     std::vector<Word> packed;
     packed.reserve(width);
-    for (double x : local) packed.push_back(pack_double(x));
+    for (double x : local) packed.push_back(std::bit_cast<Word>(x));
     if (m == 0) {
       received[0] = std::move(packed);
     } else {
@@ -127,12 +116,12 @@ std::vector<double> allreduce_sum_compute(
   std::vector<double> total(width, 0.0);
   for (const auto& vec : received) {
     for (std::size_t i = 0; i < width; ++i) {
-      total[i] += unpack_double(vec.at(i));
+      total[i] += std::bit_cast<double>(vec.at(i));
     }
   }
   std::vector<Word> packed_total;
   packed_total.reserve(width);
-  for (double x : total) packed_total.push_back(pack_double(x));
+  for (double x : total) packed_total.push_back(std::bit_cast<Word>(x));
   broadcast(sim, 0, packed_total, tag + 1);
   return total;
 }

@@ -67,8 +67,4 @@ std::vector<std::vector<std::vector<Word>>> all_to_all(
     const std::vector<std::vector<std::vector<Word>>>& out,
     std::uint32_t tag = 0xE0);
 
-// Bit-exact double <-> word transport.
-Word pack_double(double x);
-double unpack_double(Word w);
-
 }  // namespace rsets::mpc

@@ -4,10 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <ostream>
-#include <sstream>
-#include <stdexcept>
-#include <utility>
+#include <string>
 
 namespace rsets {
 
@@ -40,69 +37,6 @@ std::uint64_t peak_rss_kb() {
     }
   }
   return 0;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  if (buckets == 0 || !(lo < hi)) {
-    throw std::invalid_argument("Histogram: need lo < hi and buckets > 0");
-  }
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<long>(std::floor((x - lo_) / width));
-  idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const { return bucket_lo(i + 1); }
-
-CsvTable::CsvTable(std::vector<std::string> header)
-    : header_(std::move(header)) {}
-
-void CsvTable::add_row(std::vector<std::string> row) {
-  if (row.size() != header_.size()) {
-    throw std::invalid_argument("CsvTable: row width does not match header");
-  }
-  rows_.push_back(std::move(row));
-}
-
-std::string CsvTable::fmt(double v) {
-  std::ostringstream os;
-  os.precision(6);
-  os << v;
-  return os.str();
-}
-
-std::string CsvTable::fmt(std::uint64_t v) { return std::to_string(v); }
-
-void CsvTable::write(std::ostream& os) const {
-  for (std::size_t i = 0; i < header_.size(); ++i) {
-    if (i) os << ',';
-    os << header_[i];
-  }
-  os << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) os << ',';
-      os << row[i];
-    }
-    os << '\n';
-  }
-}
-
-bool CsvTable::write_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write(out);
-  return static_cast<bool>(out);
 }
 
 }  // namespace rsets

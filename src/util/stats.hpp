@@ -1,11 +1,8 @@
-// Summary statistics, histograms, and CSV emission for experiments.
+// Summary statistics and peak-RSS telemetry for experiments.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
-#include <string>
-#include <vector>
 
 namespace rsets {
 
@@ -31,48 +28,10 @@ class Summary {
   double sum_ = 0.0;
 };
 
-// Fixed-width bucket histogram over [lo, hi); out-of-range values clamp to
-// the edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  std::uint64_t total() const { return total_; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 // Peak resident set (VmHWM from /proc/self/status) in kB; 0 where /proc is
 // unavailable. Every CLI run mode and the serve/churn benches report this
 // uniformly — it is the number memory-footprint claims (out-of-core spill,
 // resident-service overhead) are judged by. Linux-only, like the mmap spill.
 std::uint64_t peak_rss_kb();
-
-// Row-oriented CSV table with a fixed header; used by benches to emit the
-// experiment series alongside google-benchmark counters.
-class CsvTable {
- public:
-  explicit CsvTable(std::vector<std::string> header);
-  void add_row(std::vector<std::string> row);
-  // Convenience: formats doubles with 6 significant digits.
-  static std::string fmt(double v);
-  static std::string fmt(std::uint64_t v);
-  void write(std::ostream& os) const;
-  // Writes to path, returns false on I/O failure.
-  bool write_file(const std::string& path) const;
-  std::size_t rows() const { return rows_.size(); }
-
- private:
-  std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
-};
 
 }  // namespace rsets

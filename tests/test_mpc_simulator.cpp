@@ -213,11 +213,5 @@ TEST(Primitives, AllToAll) {
   EXPECT_EQ(sim.metrics().rounds, 1u);
 }
 
-TEST(Primitives, DoublePackingIsBitExact) {
-  for (double x : {0.0, -0.0, 1.5, -3.25e100, 1e-300}) {
-    EXPECT_EQ(unpack_double(pack_double(x)), x);
-  }
-}
-
 }  // namespace
 }  // namespace rsets::mpc

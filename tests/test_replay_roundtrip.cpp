@@ -3,6 +3,7 @@
 // healing and all — and tampered or version-mismatched logs must be
 // rejected with a useful diagnostic, not silently replayed.
 #include <cstdint>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,6 +35,15 @@ struct FaultCase {
   const char* budget_policy = "strict";
   std::uint64_t deadline = 0;
 };
+
+// Test listings print the case by its fields, not its raw bytes: the first
+// field is a pointer to a string literal, whose address moves with any code
+// change elsewhere in the binary.
+void PrintTo(const FaultCase& c, std::ostream* os) {
+  *os << c.name << " faults=" << c.faults
+      << " checkpoint_every=" << c.checkpoint_every
+      << " budget_policy=" << c.budget_policy << " deadline=" << c.deadline;
+}
 
 class ReplayEveryFaultKind : public ::testing::TestWithParam<FaultCase> {};
 

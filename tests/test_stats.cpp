@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace rsets {
 namespace {
 
@@ -41,45 +39,6 @@ TEST(Summary, NegativeValues) {
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.min(), -3.0);
   EXPECT_NEAR(s.variance(), 18.0, 1e-12);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bucket 0
-  h.add(9.5);   // bucket 4
-  h.add(-1.0);  // clamps to 0
-  h.add(42.0);  // clamps to 4
-  h.add(5.0);   // bucket 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(2), 6.0);
-}
-
-TEST(Histogram, RejectsBadArguments) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(CsvTable, WritesHeaderAndRows) {
-  CsvTable t({"a", "b"});
-  t.add_row({"1", "x"});
-  t.add_row({"2", "y"});
-  std::ostringstream os;
-  t.write(os);
-  EXPECT_EQ(os.str(), "a,b\n1,x\n2,y\n");
-}
-
-TEST(CsvTable, RejectsWrongWidth) {
-  CsvTable t({"a", "b"});
-  EXPECT_THROW(t.add_row({"1"}), std::invalid_argument);
-}
-
-TEST(CsvTable, FormatsNumbers) {
-  EXPECT_EQ(CsvTable::fmt(std::uint64_t{42}), "42");
-  EXPECT_EQ(CsvTable::fmt(1.5), "1.5");
 }
 
 }  // namespace

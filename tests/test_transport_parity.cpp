@@ -9,6 +9,7 @@
 // they fail, the parallel barrier has diverged structurally, not just in
 // wall clock.
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -111,6 +112,15 @@ struct ParityFaultCase {
   const char* budget_policy = "strict";
   std::uint64_t deadline = 0;
 };
+
+// Test listings print the case by its fields, not its raw bytes: the first
+// field is a pointer to a string literal, whose address moves with any code
+// change elsewhere in the binary.
+void PrintTo(const ParityFaultCase& c, std::ostream* os) {
+  *os << c.name << " faults=" << c.faults
+      << " checkpoint_every=" << c.checkpoint_every
+      << " budget_policy=" << c.budget_policy << " deadline=" << c.deadline;
+}
 
 class BarrierParityFaults
     : public ::testing::TestWithParam<ParityFaultCase> {};

@@ -25,18 +25,24 @@
 #      bit-for-bit and certify (60 s budget; the soak runs in ~5 s).
 #  8b. Churn soak: 100 seeded mixed fault+churn schedules drive a live
 #      RulingSetService (greedy + every MPC algorithm) through update
-#      batches; after every drained batch the maintained set must be
-#      bit-identical to a fault-free from-scratch recompute, every third
-#      schedule crashes mid-batch and recovers from its sealed journal, and
-#      every final state certifies in-model + cross-validates.
-#  8c. Concurrent churn soak: 100 seeded interleaving schedules route the
-#      same churn through a 4-producer ingest front (bounded queues,
-#      backpressure, poisoned-stream quarantine/ejection flavors); taken
-#      generations must equal the canonical per-producer alignment, every
-#      drained state must match both the from-scratch oracle and a
-#      single-producer twin bit-for-bit (set + metrics + record-log
-#      bodies, crash-mid-epoch recovery included), and epoch-pinned point
-#      queries must answer from exactly the last committed epoch.
+#      batches from one producer, via the same ingest engine as 8c. Taken
+#      generations must equal the producer's committed batches; after every
+#      drained batch the maintained set must be bit-identical to a
+#      fault-free from-scratch recompute (plus the repair ledger and
+#      record-log bodies on single-rerun epochs); point queries must match
+#      brute force and pinned handles stay frozen; every third schedule
+#      crashes mid-batch and recovers from its sealed journal; every final
+#      state must match a from-scratch twin and certify in-model +
+#      cross-validate.
+#  8c. Concurrent churn soak: the same engine with the churn split across a
+#      4-producer ingest front, driven by seeded interleavings (bounded
+#      queues, backpressure, and poisoned-stream quarantine/ejection
+#      flavors, which need a second producer); the same parity battery
+#      applies, with the twin fed the merged generation sequence.
+#  8d. Benchmark smoke: perfbench/smoke.py runs every BENCHMARK.json
+#      workload at 1/100 size, traced and untraced, and requires a correct
+#      result carrying every declared metric, plus a reported failure when
+#      the checked set is deliberately broken (~15 s).
 #   9. Sharded-generation gate: the cross-shard validator plus a
 #      10^7-edge out-of-core smoke run (sharded graph500, spill-backed,
 #      certified in-model) through rsets_cli --sharded.
@@ -94,24 +100,30 @@ timeout 60 "$repo_root/build/tools/chaos_soak" --schedules=200 --seed=1
 
 echo "=== ci: churn soak (100 mixed fault+churn schedules, journaled) ==="
 # Every schedule drives greedy plus all MPC algorithms through a live
-# service under edge churn and injected faults; every drained batch must be
-# bit-identical to a fault-free from-scratch recompute, every third schedule
-# crashes mid-batch and recovers from its sealed journal, and every final
-# state is certified in-model + cross-validated.
+# service under edge churn and injected faults, one producer feeding the
+# ingest front; every drained batch must be bit-identical to a fault-free
+# from-scratch recompute, every third schedule crashes mid-batch and
+# recovers from its sealed journal, and every final state matches a
+# from-scratch twin and is certified in-model + cross-validated.
 churn_tmp=$(mktemp -d)
 timeout 600 "$repo_root/build/tools/chaos_soak" --churn --schedules=100 \
     --seed=1 --journal_dir="$churn_tmp"
 rm -rf "$churn_tmp"
 
 echo "=== ci: concurrent churn soak (100 schedules, 4-producer ingest) ==="
-# Seeded line-interleavings through the multi-producer front: generation
-# alignment, backpressure, per-producer quarantine/ejection + tombstone
-# journaling, epoch-pinned queries, and final bit-identity against a
-# single-producer twin — including crash-mid-epoch recovery schedules.
+# The same engine with four producers: seeded line-interleavings add
+# backpressure and per-producer quarantine/ejection + tombstone journaling
+# to the battery above.
 cchurn_tmp=$(mktemp -d)
 timeout 900 "$repo_root/build/tools/chaos_soak" --churn --producers=4 \
     --schedules=100 --seed=1 --journal_dir="$cchurn_tmp"
 rm -rf "$cchurn_tmp"
+
+echo "=== ci: benchmark smoke (perfbench at 1/100 size) ==="
+# Builds perfbench's own Release tree (.bench_build/ under the repo root) and
+# checks that every workload still reports correct results and every
+# declared metric.
+(cd "$repo_root" && python3 perfbench/smoke.py)
 
 echo "=== ci: sharded generation (validator + 10^7-edge out-of-core smoke) ==="
 # graph500 scale=20, edgefactor=16: 2^24 ~ 1.7e7 raw edges, streamed and
