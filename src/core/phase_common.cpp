@@ -1,9 +1,8 @@
 #include "core/phase_common.hpp"
 
 #include <algorithm>
+#include <span>
 
-#include "core/greedy.hpp"
-#include "graph/ops.hpp"
 #include "mpc/primitives.hpp"
 
 namespace rsets::detail {
@@ -26,74 +25,78 @@ std::uint64_t count_active_edges(Simulator& sim, const mpc::DistGraph& dg) {
 // Gathers the active induced subgraph restricted to `members` onto machine
 // 0 (1 round), computes a greedy MIS there, and broadcasts it (1 round).
 // `in_members` must be consistent with `members`.
+//
+// Each owner ships one record per member v: `v, deg, u_1..u_deg`, listing
+// v's lower-id member neighbours — every edge once, by its higher endpoint.
+// So greedy MIS by id order needs no subgraph at all: v joins iff none of
+// its listed neighbours joined. Machine 0 decodes the records where they
+// lie (the inbox payloads and its own contribution) through a dense
+// per-vertex record index, which also makes the order of `members`
+// irrelevant.
 std::vector<VertexId> gather_and_mis(Simulator& sim,
                                      const mpc::DistGraph& dg,
                                      const std::vector<VertexId>& members,
                                      const std::vector<std::uint8_t>& in_members) {
+  constexpr std::uint32_t kGatherTag = 0xF1;
   const MachineId m_count = sim.num_machines();
-  // Owners serialize their members' member-restricted adjacency:
-  // v, deg, neighbors...
-  std::vector<std::vector<Word>> contributions(m_count);
-  for (VertexId v : members) {
-    auto& payload = contributions[dg.owner(v)];
-    payload.push_back(v);
-    const std::size_t deg_slot = payload.size();
-    payload.push_back(0);
-    std::uint64_t deg = 0;
-    for (VertexId u : dg.neighbors(v)) {
-      if (u < v && in_members[u]) {  // each edge shipped once (by higher id)
-        payload.push_back(u);
-        ++deg;
-      }
-    }
-    payload[deg_slot] = deg;
-  }
-  const auto at_root = gather_to(sim, 0, contributions, 0xF1);
+  std::vector<std::vector<VertexId>> by_owner(m_count);
+  for (VertexId v : members) by_owner[dg.owner(v)].push_back(v);
 
-  // Machine 0: decode, charge transient storage, greedy MIS by id order.
+  // Machine m's records, in `members` order. Neighbour lists are sorted,
+  // so the lower-id neighbours are a prefix.
+  const auto serialize = [&](MachineId m) {
+    std::vector<Word> records;
+    for (VertexId v : by_owner[m]) {
+      records.push_back(v);
+      const std::size_t deg_slot = records.size();
+      records.push_back(0);
+      for (VertexId u : dg.neighbors(v)) {
+        if (u >= v) break;
+        if (in_members[u]) records.push_back(u);
+      }
+      records[deg_slot] = records.size() - deg_slot - 1;
+    }
+    return records;
+  };
+  std::vector<Word> own;  // machine 0's records, kept local
+  sim.round([&](mpc::Machine& machine, const mpc::Inbox&) {
+    if (machine.id() == 0) {
+      own = serialize(0);
+    } else {
+      machine.send(0, kGatherTag, serialize(machine.id()));
+    }
+  });
+
   std::size_t gathered_words = 0;
-  std::vector<Edge> edges;
-  std::vector<VertexId> nodes;
-  for (const auto& payload : at_root) {
-    gathered_words += payload.size();
-    std::size_t i = 0;
-    while (i < payload.size()) {
-      const auto v = static_cast<VertexId>(payload[i++]);
-      const auto deg = payload[i++];
-      nodes.push_back(v);
-      for (std::uint64_t d = 0; d < deg; ++d) {
-        edges.push_back({static_cast<VertexId>(payload[i++]), v});
+  std::vector<VertexId> mis;
+  sim.drain([&](mpc::Machine& machine, const mpc::Inbox& inbox) {
+    if (machine.id() != 0) return;
+    // record[v] points at v's `deg` word; null for non-members.
+    std::vector<const Word*> record(dg.num_vertices(), nullptr);
+    const auto index = [&](std::span<const Word> payload) {
+      gathered_words += payload.size();
+      for (std::size_t i = 0; i < payload.size(); i += 2 + payload[i + 1]) {
+        record[payload[i]] = &payload[i + 1];
+      }
+    };
+    index(own);
+    for (const mpc::MessageView& msg : inbox.with_tag(kGatherTag)) {
+      index(msg.payload);
+    }
+    std::vector<std::uint8_t> joined(dg.num_vertices(), 0);
+    for (VertexId v = 0; v < dg.num_vertices(); ++v) {
+      const Word* rec = record[v];
+      if (rec == nullptr) continue;
+      const std::span<const Word> listed(rec + 1, rec[0]);
+      if (std::none_of(listed.begin(), listed.end(),
+                       [&](Word u) { return joined[u] != 0; })) {
+        joined[v] = 1;
+        mis.push_back(v);
       }
     }
-  }
+  });
+  // The gathered records are machine 0's transient storage.
   sim.machine(0).charge_storage(gathered_words);
-
-  std::sort(nodes.begin(), nodes.end());
-  // Relabel into a compact subgraph for the greedy oracle.
-  const InducedSubgraph sub = [&] {
-    // Build directly from gathered edges; ids are original, so relabel.
-    std::vector<VertexId> relabel_src = nodes;
-    std::vector<Edge> relabelled;
-    relabelled.reserve(edges.size());
-    auto index_of = [&](VertexId v) {
-      return static_cast<VertexId>(
-          std::lower_bound(relabel_src.begin(), relabel_src.end(), v) -
-          relabel_src.begin());
-    };
-    for (const Edge& e : edges) {
-      relabelled.push_back({index_of(e.u), index_of(e.v)});
-    }
-    InducedSubgraph s;
-    s.graph = Graph::from_edges(static_cast<VertexId>(relabel_src.size()),
-                                relabelled);
-    s.to_original = std::move(relabel_src);
-    return s;
-  }();
-
-  const std::vector<VertexId> local_mis = greedy_mis(sub.graph);
-  std::vector<VertexId> mis;
-  mis.reserve(local_mis.size());
-  for (VertexId v : local_mis) mis.push_back(sub.to_original[v]);
   sim.machine(0).release_storage(gathered_words);
 
   // Broadcast the MIS (1 round).

@@ -3,31 +3,28 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "graph/csr_build.hpp"
+
 namespace rsets {
 
 Graph Graph::from_edges(VertexId num_vertices, std::span<const Edge> edges) {
   Graph g;
-  std::vector<std::uint64_t> counts(num_vertices + 1, 0);
-  // Symmetrize into a scratch arc list, then sort-dedup per vertex.
-  std::vector<std::pair<VertexId, VertexId>> arcs;
-  arcs.reserve(edges.size() * 2);
-  for (const Edge& e : edges) {
-    if (e.u == e.v) continue;
-    if (e.u >= num_vertices || e.v >= num_vertices) {
-      throw std::out_of_range("Graph::from_edges: endpoint out of range");
-    }
-    arcs.emplace_back(e.u, e.v);
-    arcs.emplace_back(e.v, e.u);
-  }
-  std::sort(arcs.begin(), arcs.end());
-  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-
-  for (const auto& [u, v] : arcs) counts[u + 1]++;
-  for (VertexId v = 0; v < num_vertices; ++v) counts[v + 1] += counts[v];
-
-  g.offsets_ = std::move(counts);
-  g.adjacency_.reserve(arcs.size());
-  for (const auto& [u, v] : arcs) g.adjacency_.push_back(v);
+  const std::uint64_t arcs = detail::build_csr(
+      num_vertices, [&](const auto& consume) { consume(edges); },
+      [num_vertices](const Edge& e) {
+        if (e.u == e.v) return false;  // self-loops skip the range check
+        if (e.u >= num_vertices || e.v >= num_vertices) {
+          throw std::out_of_range("Graph::from_edges: endpoint out of range");
+        }
+        return true;
+      },
+      g.offsets_,
+      [&](std::uint64_t raw) {
+        g.adjacency_.resize(raw);
+        return g.adjacency_.data();
+      });
+  g.adjacency_.resize(arcs);
+  g.adjacency_.shrink_to_fit();
   return g;
 }
 

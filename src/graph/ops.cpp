@@ -7,34 +7,6 @@
 
 namespace rsets {
 
-InducedSubgraph induced_subgraph(const Graph& g,
-                                 std::span<const VertexId> vertices) {
-  InducedSubgraph out;
-  out.to_original.assign(vertices.begin(), vertices.end());
-  std::sort(out.to_original.begin(), out.to_original.end());
-  out.to_original.erase(
-      std::unique(out.to_original.begin(), out.to_original.end()),
-      out.to_original.end());
-
-  constexpr VertexId kAbsent = std::numeric_limits<VertexId>::max();
-  std::vector<VertexId> relabel(g.num_vertices(), kAbsent);
-  for (std::size_t i = 0; i < out.to_original.size(); ++i) {
-    relabel[out.to_original[i]] = static_cast<VertexId>(i);
-  }
-
-  std::vector<Edge> edges;
-  for (VertexId s : out.to_original) {
-    for (VertexId t : g.neighbors(s)) {
-      if (s < t && relabel[t] != kAbsent) {
-        edges.push_back({relabel[s], relabel[t]});
-      }
-    }
-  }
-  out.graph = Graph::from_edges(
-      static_cast<VertexId>(out.to_original.size()), edges);
-  return out;
-}
-
 Graph power_graph(const Graph& g, int k) {
   if (k < 1) throw std::invalid_argument("power_graph: k must be >= 1");
   const VertexId n = g.num_vertices();

@@ -1,5 +1,5 @@
-// Whole-graph operations: induced subgraphs, graph powers, BFS,
-// connected components, and degree statistics.
+// Whole-graph operations: graph powers, BFS, connected components, and
+// degree statistics.
 #pragma once
 
 #include <cstdint>
@@ -9,16 +9,6 @@
 #include "graph/graph.hpp"
 
 namespace rsets {
-
-// Vertex subset represented as a sorted id list plus the subgraph with
-// *relabelled* ids [0, |S|); `to_original[i]` maps back.
-struct InducedSubgraph {
-  Graph graph;
-  std::vector<VertexId> to_original;
-};
-
-InducedSubgraph induced_subgraph(const Graph& g,
-                                 std::span<const VertexId> vertices);
 
 // G^k: u~v iff 1 <= dist(u, v) <= k. Materialized explicitly; quadratic
 // blowup is the caller's problem (used for beta-ruling-set oracles in tests).

@@ -6,54 +6,40 @@
 #include <cstdlib>
 #include <string>
 
+#include "graph/csr_build.hpp"
 #include "util/error.hpp"
 
 namespace rsets::shard {
 namespace {
 
-// Counts raw symmetric degrees and validates endpoints.
-struct CountSink final : EdgeSink {
-  std::vector<std::uint64_t>* deg;
-  VertexId n;
-
-  void consume(std::span<const Edge> batch) override {
-    for (const Edge& e : batch) {
-      if (e.u >= n || e.v >= n) {
-        throw Error(ErrorCode::kVertexIdOverflow,
-                    "sharded stream emitted endpoint " +
-                        std::to_string(std::max(e.u, e.v)) + " >= n=" +
-                        std::to_string(n));
-      }
-      if (e.u == e.v) continue;  // self-loops dropped, like Graph::from_edges
-      ++(*deg)[e.u];
-      ++(*deg)[e.v];
-    }
-  }
+// Adapts a build_csr consumer to the shard stream's virtual sink.
+template <typename Consume>
+struct ConsumeSink final : EdgeSink {
+  explicit ConsumeSink(const Consume& c) : consume_batch(c) {}
+  void consume(std::span<const Edge> batch) override { consume_batch(batch); }
+  const Consume& consume_batch;
 };
 
-// Scatters both arc directions at the per-vertex write cursors. Periodic
-// whole-mapping eviction keeps the dirty-page footprint of the scattered
-// writes bounded during spilled builds.
-struct ScatterSink final : EdgeSink {
-  VertexId* adj;
-  std::vector<std::uint64_t>* cursor;
-  ShardSpill* spill;  // null for in-RAM builds
+// Evicts the spill mapping's dirty pages every `stride` processed edges
+// (scatter) or arcs (compaction), bounding the build's page footprint.
+struct SpillEvict {
+  ShardSpill* spill;
   std::uint64_t stride;
   std::uint64_t since_evict = 0;
 
-  void consume(std::span<const Edge> batch) override {
-    std::vector<std::uint64_t>& cur = *cursor;
-    for (const Edge& e : batch) {
-      if (e.u == e.v) continue;
-      adj[cur[e.u]++] = e.v;
-      adj[cur[e.v]++] = e.u;
+  void scattered(std::uint64_t edges) {
+    since_evict += edges;
+    if (since_evict >= stride) {
+      spill->evict_all();
+      since_evict = 0;
     }
-    if (spill != nullptr) {
-      since_evict += batch.size();
-      if (since_evict >= stride) {
-        spill->evict_all();
-        since_evict = 0;
-      }
+  }
+  void compacted(std::uint64_t arcs, std::uint64_t final_words) {
+    since_evict += arcs;
+    if (since_evict >= stride) {
+      // Everything below the write head is final; evict it.
+      spill->evict(0, final_words * sizeof(VertexId));
+      since_evict = 0;
     }
   }
 };
@@ -91,70 +77,38 @@ ShardCsr build_shard_csr(const ShardedSource& src,
     return csr;
   }
 
-  // Pass A: raw symmetric degree of every vertex (duplicates included).
-  {
-    std::vector<std::uint64_t> deg(n, 0);
-    CountSink count;
-    count.deg = &deg;
-    count.n = n;
-    for (std::uint32_t s = 0; s < shards; ++s) src.stream_shard(s, count);
-    for (VertexId v = 0; v < n; ++v) csr.offsets_[v + 1] = deg[v];
-  }
-  for (VertexId v = 0; v < n; ++v) csr.offsets_[v + 1] += csr.offsets_[v];
-  const std::uint64_t raw_words = csr.offsets_[n];
-
+  const auto stream = [&](const auto& consume) {
+    ConsumeSink sink(consume);
+    for (std::uint32_t s = 0; s < shards; ++s) src.stream_shard(s, sink);
+  };
+  const auto keep = [n](const Edge& e) {
+    if (e.u >= n || e.v >= n) {
+      throw Error(ErrorCode::kVertexIdOverflow,
+                  "sharded stream emitted endpoint " +
+                      std::to_string(std::max(e.u, e.v)) + " >= n=" +
+                      std::to_string(n));
+    }
+    return e.u != e.v;  // self-loops dropped, like Graph::from_edges
+  };
   // Adjacency storage: RAM vector or memory-mapped spill.
   const bool spilled = !options.spill_dir.empty();
-  if (spilled) {
-    csr.spill_ =
-        ShardSpill::create(options.spill_dir, raw_words * sizeof(VertexId));
-    csr.adj_ = static_cast<VertexId*>(csr.spill_.data());
-  } else {
-    csr.adj_ram_.resize(raw_words);
-    csr.adj_ = csr.adj_ram_.data();
-  }
-
-  // Pass B: scattered symmetrized writes at the running cursors.
-  {
-    std::vector<std::uint64_t> cursor(csr.offsets_.begin(),
-                                      csr.offsets_.end() - 1);
-    ScatterSink scatter;
-    scatter.adj = csr.adj_;
-    scatter.cursor = &cursor;
-    scatter.spill = spilled ? &csr.spill_ : nullptr;
-    scatter.stride = std::max<std::uint64_t>(options.evict_stride_edges, 1);
-    for (std::uint32_t s = 0; s < shards; ++s) src.stream_shard(s, scatter);
-  }
-
-  // Pass C: per-vertex sort + dedup, compacting in place. The write head w
-  // never passes the read head (deduped words <= raw words at every
-  // prefix), so one sweep suffices; offsets are rewritten to the compacted
-  // positions as it goes.
-  std::uint64_t w = 0;
-  std::uint64_t prev_lo = 0;
-  std::uint64_t since_evict = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    const std::uint64_t lo = prev_lo;
-    const std::uint64_t hi = csr.offsets_[v + 1];
-    prev_lo = hi;
-    std::sort(csr.adj_ + lo, csr.adj_ + hi);
-    csr.offsets_[v] = w;
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      if (i == lo || csr.adj_[i] != csr.adj_[w - 1]) {
-        csr.adj_[w++] = csr.adj_[i];
-      }
-    }
+  const auto allocate = [&](std::uint64_t raw_words) {
     if (spilled) {
-      since_evict += hi - lo;
-      if (since_evict >= std::max<std::uint64_t>(options.evict_stride_edges,
-                                                 1)) {
-        // Everything below the write head is final; evict it.
-        csr.spill_.evict(0, w * sizeof(VertexId));
-        since_evict = 0;
-      }
+      csr.spill_ = ShardSpill::create(options.spill_dir,
+                                      raw_words * sizeof(VertexId));
+      csr.adj_ = static_cast<VertexId*>(csr.spill_.data());
+    } else {
+      csr.adj_ram_.resize(raw_words);
+      csr.adj_ = csr.adj_ram_.data();
     }
-  }
-  csr.offsets_[n] = w;
+    return csr.adj_;
+  };
+  const std::uint64_t stride =
+      std::max<std::uint64_t>(options.evict_stride_edges, 1);
+  const std::uint64_t w =
+      spilled ? detail::build_csr(n, stream, keep, csr.offsets_, allocate,
+                                  SpillEvict{&csr.spill_, stride})
+              : detail::build_csr(n, stream, keep, csr.offsets_, allocate);
   csr.half_edges_ = w / 2;
 
   // Shrink to the deduped size and drop build-time pages from RSS.

@@ -2,12 +2,13 @@
 //
 // build_shard_csr streams every shard of a ShardedSource twice (degree
 // count, then scattered adjacency writes) and finishes with an in-place
-// per-vertex sort + dedup pass, producing exactly the CSR Graph::from_edges
-// would build from the same raw edges: self-loops dropped, symmetrized,
-// neighbor lists sorted and duplicate-free. That exactness is what makes a
-// sharded DistGraph indistinguishable from a materialized one — identical
-// degrees mean identical storage charges, identical rounds, identical
-// metrics ledgers.
+// per-vertex sort + dedup pass — the counting-sort core it shares with
+// Graph::from_edges (graph/csr_build.hpp) — producing exactly the CSR
+// Graph::from_edges builds from the same raw edges: self-loops dropped,
+// symmetrized, neighbor lists sorted and duplicate-free. That exactness is
+// what makes a sharded DistGraph indistinguishable from a materialized one
+// — identical degrees mean identical storage charges, identical rounds,
+// identical metrics ledgers.
 //
 // With a spill directory, the adjacency array lives in a memory-mapped
 // ShardSpill instead of RAM, and the build passes evict dirty pages on a

@@ -1,12 +1,35 @@
 #include "serve/query.hpp"
 
-#include <deque>
-#include <limits>
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 namespace rsets::serve {
+namespace {
+
+// Per-thread BFS scratch for point queries. seen[x] == stamp marks x as
+// reached by the current query; each query takes a fresh stamp, so nothing
+// is cleared between queries, and a snapshot of another size only grows
+// the array (stale stamps never equal a fresh one).
+struct BfsScratch {
+  std::vector<std::uint32_t> seen;
+  std::uint32_t stamp = 0;
+  std::vector<VertexId> level;
+  std::vector<VertexId> next;
+};
+
+BfsScratch& bfs_scratch(VertexId n) {
+  thread_local BfsScratch scratch;
+  if (scratch.seen.size() < n) scratch.seen.resize(n, 0);
+  if (++scratch.stamp == 0) {  // wrapped: forget every old stamp
+    std::fill(scratch.seen.begin(), scratch.seen.end(), 0);
+    scratch.stamp = 1;
+  }
+  return scratch;
+}
+
+}  // namespace
 
 QuerySnapshot::QuerySnapshot(std::uint64_t epoch, std::uint32_t beta,
                              Graph graph, std::vector<VertexId> ruling_set)
@@ -46,38 +69,42 @@ PointQueryResult QuerySnapshot::nearest_member(VertexId v) const {
     out.distance = 0;
     return out;
   }
-  // Truncated BFS; the frontier is explored a full level at a time so the
-  // first level containing members yields the minimum distance, and the
-  // smallest member id in that level breaks the tie deterministically.
-  constexpr auto kUnreached = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> dist(graph_.num_vertices(), kUnreached);
-  std::deque<VertexId> queue{v};
-  dist[v] = 0;
-  bool found = false;
-  VertexId best = 0;
-  std::uint32_t best_dist = 0;
-  while (!queue.empty()) {
-    const VertexId x = queue.front();
-    queue.pop_front();
-    if (found && dist[x] >= best_dist) break;  // deeper levels cannot win
-    if (dist[x] >= beta_) continue;
-    for (VertexId w : graph_.neighbors(x)) {
-      if (dist[w] != kUnreached) continue;
-      dist[w] = dist[x] + 1;
-      if (in_set_[w]) {
-        if (!found || dist[w] < best_dist || (dist[w] == best_dist && w < best)) {
+  // Truncated BFS, one full level at a time: the first level containing
+  // members yields the minimum distance, and the smallest member id in
+  // that level breaks the tie. Members terminate their branch — nothing
+  // beyond one is closer. The visited set is the calling thread's
+  // generation-stamped scratch, so a query costs O(ball) and the shared
+  // snapshot stays immutable.
+  BfsScratch& scratch = bfs_scratch(graph_.num_vertices());
+  const std::uint32_t stamp = scratch.stamp;
+  std::vector<VertexId>& level = scratch.level;
+  std::vector<VertexId>& next = scratch.next;
+  level.assign(1, v);
+  scratch.seen[v] = stamp;
+  for (std::uint32_t d = 1; d <= beta_ && !level.empty(); ++d) {
+    next.clear();
+    bool found = false;
+    VertexId best = 0;
+    for (const VertexId x : level) {
+      for (const VertexId w : graph_.neighbors(x)) {
+        if (scratch.seen[w] == stamp) continue;
+        scratch.seen[w] = stamp;
+        if (in_set_[w]) {
+          if (!found || w < best) best = w;
           found = true;
-          best = w;
-          best_dist = dist[w];
+        } else {
+          next.push_back(w);
         }
-        continue;  // members terminate their branch: nothing closer beyond
       }
-      queue.push_back(w);
     }
+    if (found) {
+      out.covered = true;
+      out.member = best;
+      out.distance = d;
+      return out;
+    }
+    level.swap(next);
   }
-  out.covered = found;
-  out.member = best;
-  out.distance = best_dist;
   return out;
 }
 

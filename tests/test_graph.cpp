@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace rsets {
@@ -87,6 +93,85 @@ TEST(GraphBuilder, IgnoresSelfLoopsAndBuilds) {
   EXPECT_EQ(b.pending_edges(), 2u);
   const Graph g = std::move(b).build();
   EXPECT_EQ(g.num_edges(), 2u);
+}
+
+// The builder from_edges replaced: symmetrize into arc pairs, sort and
+// unique them all, then read the lists off in order. Kept here as the
+// reference the counting-sort builder must match exactly.
+std::vector<std::vector<VertexId>> sort_unique_adjacency(
+    VertexId n, const std::vector<Edge>& edges) {
+  std::vector<std::pair<VertexId, VertexId>> arcs;
+  for (const Edge& e : edges) {
+    if (e.u == e.v) continue;
+    if (e.u >= n || e.v >= n) throw std::out_of_range("reference");
+    arcs.emplace_back(e.u, e.v);
+    arcs.emplace_back(e.v, e.u);
+  }
+  std::sort(arcs.begin(), arcs.end());
+  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+  std::vector<std::vector<VertexId>> adj(n);
+  for (const auto& [u, v] : arcs) adj[u].push_back(v);
+  return adj;
+}
+
+void expect_same_csr(const Graph& g,
+                     const std::vector<std::vector<VertexId>>& adj,
+                     const std::string& label) {
+  ASSERT_EQ(g.num_vertices(), adj.size()) << label;
+  std::uint64_t arcs = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto nbrs = g.neighbors(v);
+    EXPECT_TRUE(std::equal(nbrs.begin(), nbrs.end(), adj[v].begin(),
+                           adj[v].end()))
+        << label << " vertex " << v;
+    arcs += adj[v].size();
+  }
+  EXPECT_EQ(g.num_edges(), arcs / 2) << label;
+}
+
+TEST(Graph, FromEdgesMatchesSortUniqueReference) {
+  // Random lists rich in duplicates, reversed pairs and self-loops, over
+  // vertex ranges wider than the edges touch (isolated vertices, among
+  // them the last id), down to n = 0 and n = 1.
+  std::mt19937_64 rng(20260517);
+  for (const VertexId n : {0u, 1u, 2u, 3u, 7u, 40u, 300u}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const VertexId span = n <= 1 ? n : n - n / 3;  // ids >= span stay isolated
+      const std::size_t m = rng() % (4 * static_cast<std::size_t>(n) + 4);
+      std::vector<Edge> edges;
+      for (std::size_t i = 0; i < m && span > 0; ++i) {
+        const auto u = static_cast<VertexId>(rng() % span);
+        const auto v = static_cast<VertexId>(rng() % span);
+        edges.push_back({u, v});
+        switch (rng() % 4) {
+          case 0: edges.push_back({v, u}); break;  // reversed twin
+          case 1: edges.push_back({u, v}); break;  // exact duplicate
+          case 2: edges.push_back({u, u}); break;  // self-loop
+          default: break;
+        }
+      }
+      std::shuffle(edges.begin(), edges.end(), rng);
+      const std::string label =
+          "n=" + std::to_string(n) + " trial=" + std::to_string(trial);
+      expect_same_csr(Graph::from_edges(n, edges),
+                      sort_unique_adjacency(n, edges), label);
+    }
+  }
+}
+
+TEST(Graph, FromEdgesRangeCheckSkipsSelfLoops) {
+  // An out-of-range endpoint throws even after valid edges...
+  const std::vector<Edge> bad = {{0, 1}, {1, 2}, {2, 3}};
+  EXPECT_THROW(Graph::from_edges(3, bad), std::out_of_range);
+  EXPECT_THROW(Graph::from_edges(0, std::vector<Edge>{{0, 1}}),
+               std::out_of_range);
+  // ...but a self-loop is dropped before its range is checked.
+  const std::vector<Edge> loops = {{0, 1}, {7, 7}, {1, 1}};
+  const Graph g = Graph::from_edges(2, loops);
+  expect_same_csr(g, sort_unique_adjacency(2, loops), "loops");
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(Graph::from_edges(0, std::vector<Edge>{{5, 5}}).num_vertices(),
+            0u);
 }
 
 TEST(Graph, RoundTripThroughEdges) {

@@ -9,37 +9,6 @@
 namespace rsets {
 namespace {
 
-TEST(InducedSubgraph, KeepsInternalEdgesOnly) {
-  // Square 0-1-2-3 with diagonal 0-2.
-  const Graph g =
-      Graph::from_edges(4, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}});
-  const std::vector<VertexId> sub = {0, 1, 2};
-  const auto induced = induced_subgraph(g, sub);
-  EXPECT_EQ(induced.graph.num_vertices(), 3u);
-  EXPECT_EQ(induced.graph.num_edges(), 3u);  // 0-1, 1-2, 0-2
-  EXPECT_EQ(induced.to_original.size(), 3u);
-}
-
-TEST(InducedSubgraph, DeduplicatesInput) {
-  const Graph g = gen::cycle(6);
-  const std::vector<VertexId> sub = {2, 2, 3, 3};
-  const auto induced = induced_subgraph(g, sub);
-  EXPECT_EQ(induced.graph.num_vertices(), 2u);
-  EXPECT_EQ(induced.graph.num_edges(), 1u);
-}
-
-TEST(InducedSubgraph, RelabelMapsBack) {
-  const Graph g = gen::path(10);
-  const std::vector<VertexId> sub = {7, 3, 8};
-  const auto induced = induced_subgraph(g, sub);
-  // Sorted: 3, 7, 8. Edge 7-8 survives as 1-2.
-  EXPECT_EQ(induced.to_original[0], 3u);
-  EXPECT_EQ(induced.to_original[1], 7u);
-  EXPECT_EQ(induced.to_original[2], 8u);
-  EXPECT_TRUE(induced.graph.has_edge(1, 2));
-  EXPECT_FALSE(induced.graph.has_edge(0, 1));
-}
-
 TEST(PowerGraph, PathSquared) {
   const Graph g = gen::path(5);
   const Graph g2 = power_graph(g, 2);

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -19,6 +20,7 @@
 
 #include "core/chaos.hpp"
 #include "core/replay.hpp"
+#include "graph/ops.hpp"
 #include "serve/ingest.hpp"
 #include "serve/query.hpp"
 #include "serve/service.hpp"
@@ -465,6 +467,79 @@ TEST(ServeQuery, NearestMemberMatchesBruteForceAndValidates) {
   EXPECT_FALSE(tight.nearest_member(2).covered);
   EXPECT_FALSE(tight.covered(2));
   EXPECT_TRUE(tight.covered(1));
+}
+
+// The definition nearest_member must meet: full BFS distances, then the
+// smallest id among the members at the least distance <= beta.
+PointQueryResult brute_force_nearest(const Graph& g,
+                                     const std::vector<VertexId>& set,
+                                     std::uint32_t beta, VertexId v) {
+  const std::vector<VertexId> source = {v};
+  const std::vector<std::uint32_t> dist = bfs_distances(g, source);
+  PointQueryResult best;
+  for (VertexId m : set) {
+    if (dist[m] > beta) continue;
+    if (!best.covered || dist[m] < best.distance ||
+        (dist[m] == best.distance && m < best.member)) {
+      best = {true, m, dist[m]};
+    }
+  }
+  return best;
+}
+
+void expect_same_answer(const PointQueryResult& got,
+                        const PointQueryResult& want,
+                        const std::string& label) {
+  EXPECT_EQ(got.covered, want.covered) << label;
+  if (!want.covered) return;
+  EXPECT_EQ(got.member, want.member) << label;
+  EXPECT_EQ(got.distance, want.distance) << label;
+}
+
+// A sparse random subset, so some vertices stay uncovered.
+std::vector<VertexId> random_members(VertexId n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<VertexId> set;
+  for (VertexId v = 0; v < n; ++v) {
+    if (rng() % 16 == 0) set.push_back(v);
+  }
+  return set;
+}
+
+TEST(ServeQuery, NearestMemberMatchesFullBfsForEveryBeta) {
+  const Graph g = make_graph(300, 3.0, 17);
+  const std::vector<VertexId> set = random_members(g.num_vertices(), 5);
+  for (const std::uint32_t beta : {1u, 2u, 3u}) {
+    const QuerySnapshot snap(1, beta, g, set);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      expect_same_answer(snap.nearest_member(v),
+                         brute_force_nearest(g, set, beta, v),
+                         "beta=" + std::to_string(beta) +
+                             " v=" + std::to_string(v));
+    }
+  }
+}
+
+TEST(ServeQuery, NearestMemberScratchIsFreshAcrossSnapshots) {
+  // Two snapshots of different sizes queried alternately on one thread:
+  // per-thread query scratch must never leak a visit from one query (or
+  // one snapshot) into the next.
+  const Graph small = make_graph(40, 4.0, 3);
+  const Graph large = make_graph(500, 4.0, 4);
+  const std::vector<VertexId> small_set = random_members(40, 6);
+  const std::vector<VertexId> large_set = random_members(500, 7);
+  const QuerySnapshot a(1, 2, small, small_set);
+  const QuerySnapshot b(1, 3, large, large_set);
+  for (VertexId i = 0; i < 500; ++i) {
+    const VertexId u = i % 40;
+    const VertexId v = 499 - i;
+    expect_same_answer(a.nearest_member(u),
+                       brute_force_nearest(small, small_set, 2, u),
+                       "small v=" + std::to_string(u));
+    expect_same_answer(b.nearest_member(v),
+                       brute_force_nearest(large, large_set, 3, v),
+                       "large v=" + std::to_string(v));
+  }
 }
 
 TEST(ServeQuery, HandlesPinTheirEpochAcrossCommits) {

@@ -43,6 +43,9 @@
 #      workload at 1/100 size, traced and untraced, and requires a correct
 #      result carrying every declared metric, plus a reported failure when
 #      the checked set is deliberately broken (~15 s).
+#  8e. One-shot output pin: perfbench's two one-shot workloads at full
+#      scale (seed 1, 1 s) must print their recorded `# output` lines —
+#      the same ruling set (size and hash), round count and word count.
 #   9. Sharded-generation gate: the cross-shard validator plus a
 #      10^7-edge out-of-core smoke run (sharded graph500, spill-backed,
 #      certified in-model) through rsets_cli --sharded.
@@ -124,6 +127,22 @@ echo "=== ci: benchmark smoke (perfbench at 1/100 size) ==="
 # checks that every workload still reports correct results and every
 # declared metric.
 (cd "$repo_root" && python3 perfbench/smoke.py)
+
+echo "=== ci: one-shot output pin (perfbench at full scale) ==="
+# A faster solve must be the same solve: the set, rounds and words of both
+# full-size one-shot workloads are pinned to their recorded values.
+pin_output() {
+  got=$(cd "$repo_root" && python3 perfbench/run.py --workload "$1" \
+        --seed 1 --seconds 1 --trace 0 | sed -n 's/^# output //p')
+  if [ "$got" != "$2" ]; then
+    echo "ci: $1 output is '$got', expected '$2'" >&2
+    exit 1
+  fi
+}
+pin_output oneshot-sparse \
+    "set_size=54809 set_hash=a7420087df8dcefb rounds=6 words=2833057"
+pin_output oneshot-dense \
+    "set_size=3176 set_hash=247fd9f809377eb6 rounds=76 words=407909"
 
 echo "=== ci: sharded generation (validator + 10^7-edge out-of-core smoke) ==="
 # graph500 scale=20, edgefactor=16: 2^24 ~ 1.7e7 raw edges, streamed and
