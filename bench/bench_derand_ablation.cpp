@@ -2,10 +2,10 @@
 //
 // (a) chunk width: chunk_bits in {1, 2, 4, 8} trades aggregation rounds
 //     (fewer, wider chunks) against per-chunk candidate-evaluation work
-//     (2^c full estimator passes). The chosen seed — and hence the output —
-//     may differ per width, but validity and the coverage guarantee hold
-//     at every width, and `rounds` falls as chunks widen while
-//     `model_rounds` stays put.
+//     (2^c partials per shard, filled by one counting pass). The chosen
+//     seed — and hence the output — may differ per width, but validity and
+//     the coverage guarantee hold at every width, and `rounds` falls as
+//     chunks widen while `model_rounds` stays put.
 // (b) within-phase repetitions: the pairwise-independent coverage guarantee
 //     is >= 1/8 of targets per marking; `steps_per_phase` reports how many
 //     markings a phase actually needed (empirically ~1-3, far below the

@@ -17,6 +17,7 @@
 // communication storm, isolating the parallel barrier pipeline itself.
 #include "bench_common.hpp"
 
+#include <array>
 #include <chrono>
 #include <map>
 #include <thread>
@@ -164,7 +165,8 @@ StormRun run_storm(mpc::MpcConfig cfg, mpc::MachineId machines) {
       for (mpc::MachineId dst = 0; dst < machines; ++dst) {
         if (dst == m.id()) continue;
         for (int k = 0; k < kMsgsPerPeer; ++k) {
-          m.sender(dst, 1).push(m.id() * kMsgsPerPeer + k);
+          const std::array<mpc::Word, 1> payload{m.id() * kMsgsPerPeer + k};
+          m.send(dst, 1, payload);
         }
       }
     });

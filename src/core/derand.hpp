@@ -30,9 +30,20 @@
 // evaluated at once. The chosen seed is known everywhere, so marks are
 // locally evaluable with zero further communication — the property the
 // whole deterministic algorithm leans on.
+//
+// Host cost of one chunk on one shard (detail::chunk_partials): every
+// probability above depends only on a vertex's free-coefficient class after
+// the chunk and on its fixed part y_a, which is affine in the assignment a.
+// So each term reduces to integer counts, and one pass fills all 2^c
+// partials in O(sum_v |T_v| + |E_m| + (|T_m| + g*c) * 2^c) word operations,
+// g the number of target groups whose count depends on a (same-class free
+// members, or the non-free members). The partials are bit-identical to
+// summing prob_one / prob_both_one under each assignment in turn; DESIGN.md
+// §3.1 gives the argument.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -71,4 +82,50 @@ DerandMarkResult derand_mark(mpc::Simulator& sim, const mpc::DistGraph& dg,
                              const std::vector<VertexId>& targets,
                              const DerandMarkOptions& options);
 
+namespace detail {
+
+// Estimator shard held by one machine: the targets it owns, each with its
+// truncated candidate neighbourhood T_v, flattened to one CSR, and the
+// candidate edges it owns. Lists shrink to level survivors as seed levels
+// are finalized (keep_survivors).
+struct EstimatorShard {
+  // Target t's list is members[target_begin[t], target_begin[t + 1]).
+  std::vector<std::size_t> target_begin{0};
+  std::vector<VertexId> members;
+  std::vector<Edge> edges;
+
+  std::size_t num_targets() const { return target_begin.size() - 1; }
+  std::span<const VertexId> target(std::size_t t) const {
+    return std::span<const VertexId>(members).subspan(
+        target_begin[t], target_begin[t + 1] - target_begin[t]);
+  }
+  // Closes the target list made of the members pushed since the last call.
+  void end_target() { target_begin.push_back(members.size()); }
+};
+
+// Factors applied to not-yet-reached levels (> current): each contributes
+// 1/2 to a marginal and 1/4 to a pairwise joint.
+struct FutureFactors {
+  double single;
+  double pair;
+};
+
+// Partial estimator sums of `shard` for every assignment of the seed bits
+// `chunk` (distinct, unfixed indices of `level`, as PairwiseBitLevel::fix_bit
+// numbers them; may be empty). Levels below `level` are already folded into
+// the shard's survivor lists, levels above contribute `f`. Returns 2 * 2^c
+// doubles: [2a] is the cover sum and [2a + 1] the edge mass under the
+// assignment that gives chunk[b] the value of bit b of a. Each is
+// bit-identical to fixing those bits on a copy of `level` and summing
+// prob_one / prob_both_one over the shard, target by target.
+std::vector<double> chunk_partials(const EstimatorShard& shard,
+                                   const PairwiseBitLevel& level,
+                                   std::span<const int> chunk,
+                                   const FutureFactors& f);
+
+// Drops every list member and edge endpoint whose bit is 0 under the fully
+// fixed `level`.
+void keep_survivors(EstimatorShard& shard, const PairwiseBitLevel& level);
+
+}  // namespace detail
 }  // namespace rsets

@@ -122,6 +122,12 @@ Graph read_edge_list(std::istream& in) {
     }
     if (!pairs.empty()) check_fits_vertex_id(n64, pairs.back().line);
   }
+  if (n64 > kMaxTextVertices) {
+    throw Error(ErrorCode::kVertexIdOverflow,
+                "edge list declares n = " + std::to_string(n64) +
+                    " vertices, above the text-input cap of " +
+                    std::to_string(kMaxTextVertices));
+  }
 
   std::vector<Edge> edges;
   edges.reserve(pairs.size() - first_edge);

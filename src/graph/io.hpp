@@ -5,6 +5,7 @@
 // If no header is present, n is inferred as max id + 1.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -12,6 +13,16 @@
 
 namespace rsets {
 
+// Largest vertex count a text edge list may declare (header n) or imply
+// (max id + 1): 2^24 = 16 777 216, whose CSR offsets alone take 128 MiB. A
+// header line is a dozen bytes but costs O(n) memory to build, so a larger
+// n is rejected with Error(kVertexIdOverflow) before anything is allocated.
+// Larger graphs come from the sharded generators (graph/shard/), which
+// never materialize a text file.
+inline constexpr std::uint64_t kMaxTextVertices = std::uint64_t{1} << 24;
+
+// Throws rsets::Error (kMalformedLine, kTruncatedInput, kVertexIdOverflow,
+// kSelfLoop, kDuplicateEdge) on malformed input.
 Graph read_edge_list(std::istream& in);
 Graph read_edge_list_file(const std::string& path);
 

@@ -43,7 +43,9 @@ class Machine {
   // The batch send API: one logical message whose payload is copied (once)
   // into the per-destination aggregation arena. Accepts anything
   // span-convertible — a std::vector<Word> lvalue binds directly, so the
-  // common `send(dst, tag, bucket)` call sites need no conversion.
+  // common `send(dst, tag, bucket)` call sites need no conversion. Charges
+  // the send budget before returning, so an over-budget message raises
+  // MpcViolation (BudgetPolicy::kStrict) at the call site.
   void send(MachineId dst, std::uint32_t tag, std::span<const Word> payload) {
     check_dst(dst);
     const std::size_t len_at = open_record(dst, tag);
@@ -51,61 +53,6 @@ class Machine {
     arena.insert(arena.end(), payload.begin(), payload.end());
     arena[len_at] = payload.size();
     charge_send(payload.size() + kHeaderWords);
-  }
-
-  // Streaming construction of one message directly inside the aggregation
-  // arena — no intermediate payload vector at all. The record is framed when
-  // the Sender is opened and finalized (length patched, bandwidth charged)
-  // when it goes out of scope:
-  //
-  //   m.sender(dst, tag).push(v).push(deg);   // one 2-word-payload message
-  //
-  // At most one Sender per destination may be open at a time (a second
-  // would interleave into the same arena record).
-  class Sender {
-   public:
-    Sender(Sender&& other) noexcept
-        : machine_(other.machine_), dst_(other.dst_), len_at_(other.len_at_) {
-      other.machine_ = nullptr;
-    }
-    Sender(const Sender&) = delete;
-    Sender& operator=(const Sender&) = delete;
-    Sender& operator=(Sender&&) = delete;
-    ~Sender() { close(); }
-
-    Sender& push(Word value) {
-      machine_->out_arenas_[dst_].push_back(value);
-      return *this;
-    }
-    Sender& append(std::span<const Word> values) {
-      std::vector<Word>& out = machine_->out_arenas_[dst_];
-      out.insert(out.end(), values.begin(), values.end());
-      return *this;
-    }
-
-   private:
-    friend class Machine;
-    Sender(Machine* machine, MachineId dst, std::size_t len_at)
-        : machine_(machine), dst_(dst), len_at_(len_at) {}
-    void close() {
-      if (machine_ == nullptr) return;
-      Machine& m = *machine_;
-      machine_ = nullptr;
-      std::vector<Word>& arena = m.out_arenas_[dst_];
-      const std::size_t payload_words = arena.size() - len_at_ - 1;
-      arena[len_at_] = payload_words;
-      m.charge_send(payload_words + kHeaderWords);
-    }
-
-    Machine* machine_;
-    MachineId dst_;
-    // Arena index of the record's payload-length word.
-    std::size_t len_at_;
-  };
-
-  Sender sender(MachineId dst, std::uint32_t tag) {
-    check_dst(dst);
-    return Sender(this, dst, open_record(dst, tag));
   }
 
   // --- randomness ---------------------------------------------------------

@@ -65,6 +65,11 @@ class PairwiseBitLevel {
   // Seed bit value; requires bit_fixed(index).
   int seed_bit(int index) const;
 
+  // Which coefficient bits r_i are fixed, and their values (a subset of the
+  // mask). The constant c is reported by bit_fixed(bits()) / seed_bit(bits()).
+  std::uint64_t fixed_mask() const { return fixed_mask_; }
+  std::uint64_t fixed_values() const { return fixed_vals_; }
+
  private:
   // Determined XOR contribution of already-fixed coefficient bits.
   int fixed_part(std::uint64_t x) const {

@@ -111,7 +111,7 @@ struct RingDriver {
         sums[m.id()] += msg.payload[0];
       }
       const MachineId next = (m.id() + 1) % static_cast<MachineId>(sums.size());
-      m.sender(next, 1).push(m.id() + (m.rng().next() & 0xFF));
+      m.send(next, 1, std::vector<Word>{m.id() + (m.rng().next() & 0xFF)});
     });
   }
 
@@ -151,7 +151,7 @@ TEST(SimulatorCheckpoint, RestoreReplaysTailBitIdentically) {
 TEST(SimulatorCheckpoint, CapturesInFlightMessages) {
   Simulator sim(small_config(2));
   sim.round([](Machine& m, const Inbox&) {
-    if (m.id() == 0) m.sender(1, 5).push(77);
+    if (m.id() == 0) m.send(1, 5, std::vector<Word>{77});
   });
   // The 0->1 message is in flight at this barrier; the snapshot must carry
   // it so the restored run still delivers it.
@@ -184,7 +184,7 @@ TEST(SimulatorCheckpoint, FramedInFlightSectionSurvivesTheParallelBarrier) {
     cfg.num_threads = threads;
     Simulator sim(cfg);
     sim.round([](Machine& m, const Inbox&) {
-      if (m.id() == 0) m.sender(1, 5).push(77).push(78);
+      if (m.id() == 0) m.send(1, 5, std::vector<Word>{77, 78});
     });
     taken_at[threads == 1 ? 0 : 1] = sim.make_checkpoint();
 

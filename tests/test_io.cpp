@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "util/error.hpp"
@@ -71,6 +72,21 @@ TEST(Io, ErrorTaxonomy) {
   EXPECT_EQ(code_of("5 2\n0 1\n1 5\n"), ErrorCode::kVertexIdOverflow);
   EXPECT_EQ(code_of("3 3\n"), ErrorCode::kSelfLoop);
   EXPECT_EQ(code_of("0 1\n1 0\n"), ErrorCode::kDuplicateEdge);
+}
+
+TEST(Io, VertexCountAboveTextCapIsRejectedBeforeAllocating) {
+  // A single line is an edge, so "4294967295 0" implies n = 2^32, which no
+  // vertex id holds. The others fit a vertex id; without the cap they reach
+  // Graph::from_edges, whose O(n) allocation escapes as std::bad_alloc.
+  EXPECT_EQ(code_of("4294967295 0"), ErrorCode::kVertexIdOverflow);
+  EXPECT_EQ(code_of("4294967294 0\n"), ErrorCode::kVertexIdOverflow);
+  EXPECT_EQ(code_of("4294967295 1\n0 1\n"), ErrorCode::kVertexIdOverflow);
+  const std::string over = std::to_string(kMaxTextVertices + 1);
+  EXPECT_EQ(code_of(over + " 1\n0 1\n"), ErrorCode::kVertexIdOverflow);
+  EXPECT_EQ(code_of("0 " + std::to_string(kMaxTextVertices) + "\n"),
+            ErrorCode::kVertexIdOverflow);
+  std::istringstream in("1000 1\n0 1\n");
+  EXPECT_EQ(read_edge_list(in).num_vertices(), 1000u);
 }
 
 TEST(Io, CrlfLineEndingsAreAccepted) {

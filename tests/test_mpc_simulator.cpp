@@ -28,7 +28,7 @@ TEST(Simulator, MessagesDeliverNextRound) {
   Simulator sim(small_config(2));
   bool got = false;
   sim.round([](Machine& m, const Inbox&) {
-    if (m.id() == 0) m.sender(1, 5).push(42);
+    if (m.id() == 0) m.send(1, 5, std::vector<Word>{42});
   });
   sim.round([&](Machine& m, const Inbox& inbox) {
     if (m.id() == 1) {
@@ -45,7 +45,7 @@ TEST(Simulator, MessagesDeliverNextRound) {
 TEST(Simulator, DrainDeliversWithoutSpendingARound) {
   Simulator sim(small_config(2));
   sim.round([](Machine& m, const Inbox&) {
-    if (m.id() == 0) m.sender(1, 1).push(9);
+    if (m.id() == 0) m.send(1, 1, std::vector<Word>{9});
   });
   const auto before = sim.metrics().rounds;
   bool got = false;
@@ -59,8 +59,8 @@ TEST(Simulator, DrainDeliversWithoutSpendingARound) {
 TEST(Simulator, InboxSortedByTagThenSource) {
   Simulator sim(small_config(3));
   sim.round([](Machine& m, const Inbox&) {
-    if (m.id() == 2) m.sender(0, 7).push(1);
-    if (m.id() == 1) m.sender(0, 3).push(2);
+    if (m.id() == 2) m.send(0, 7, std::vector<Word>{1});
+    if (m.id() == 1) m.send(0, 3, std::vector<Word>{2});
   });
   sim.round([](Machine& m, const Inbox& inbox) {
     if (m.id() != 0) return;
@@ -141,7 +141,9 @@ TEST(Simulator, PerMachineRngStreamsDiffer) {
 TEST(Simulator, BadDestinationThrows) {
   Simulator sim(small_config(2));
   EXPECT_THROW(
-      sim.round([](Machine& m, const Inbox&) { m.sender(9, 0).push(0); }),
+      sim.round([](Machine& m, const Inbox&) {
+        m.send(9, 0, std::vector<Word>{0});
+      }),
       std::out_of_range);
 }
 

@@ -165,16 +165,16 @@ TEST(BarrierParity, ThreadedRecordReplaysSingleThreaded) {
   EXPECT_EQ(report.spec.threads, 4u);
 }
 
-TEST(BarrierParity, SenderStreamsMultipleRecordsPerDestination) {
+TEST(BarrierParity, SendFramesMultipleRecordsPerDestination) {
   mpc::MpcConfig cfg;
   cfg.num_machines = 2;
   cfg.memory_words = 1 << 16;
   mpc::Simulator sim(cfg);
   sim.round([](mpc::Machine& m, const mpc::Inbox&) {
     if (m.id() != 0) return;
-    m.sender(1, 3).push(10).push(11);
-    const std::vector<mpc::Word> tail = {12, 13, 14};
-    m.sender(1, 3).append(tail).push(15);
+    m.send(1, 3, std::vector<mpc::Word>{10, 11});
+    const std::vector<mpc::Word> second = {12, 13, 14, 15};
+    m.send(1, 3, second);
   });
   sim.drain([](mpc::Machine& m, const mpc::Inbox& inbox) {
     if (m.id() != 1) return;
