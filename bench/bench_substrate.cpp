@@ -58,35 +58,33 @@ void BM_HashFamily_MarkEval(benchmark::State& state) {
   benchmark::DoNotOptimize(marks);
 }
 
-// Full seed fix over a target-count estimator of the given size.
-class TargetCountEstimator : public SeedEstimator {
- public:
-  TargetCountEstimator(const MarkingFamily& family, std::size_t targets)
-      : family_(family) {
-    for (std::size_t i = 0; i < targets; ++i) {
-      ids_.push_back((i * 2654435761u) & 0xFFFF);
-    }
-  }
-  double value() const override {
-    double total = 0.0;
-    for (std::uint64_t v : ids_) {
-      total += family_.prob_mark(v, family_.levels());
-    }
-    return total;
-  }
-
- private:
-  const MarkingFamily& family_;
-  std::vector<std::uint64_t> ids_;
-};
-
+// Full seed fix over a target-count estimator of the given size, scored by
+// evaluating every assignment of a chunk in turn on a copy of the family.
 void BM_FixSeed(benchmark::State& state) {
   const auto targets = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i < targets; ++i) {
+    ids.push_back((i * 2654435761u) & 0xFFFF);
+  }
   for (auto _ : state) {
     MarkingFamily family(1 << 16, 4);
-    TargetCountEstimator est(family, targets);
-    const auto report = fix_seed(family, est, {.chunk_bits = 4});
-    benchmark::DoNotOptimize(report.final_value);
+    auto score = [&](int j, const PairwiseBitLevel& level,
+                     std::span<const int> chunk) {
+      MarkingFamily local = family;
+      std::vector<double> scores;
+      for (std::uint32_t a = 0; a < (1u << chunk.size()); ++a) {
+        local.level(j) = level;
+        for (std::size_t b = 0; b < chunk.size(); ++b) {
+          local.level(j).fix_bit(chunk[b], static_cast<int>((a >> b) & 1u));
+        }
+        double total = 0.0;
+        for (std::uint64_t v : ids) total += local.prob_mark(v, local.levels());
+        scores.push_back(total);
+      }
+      return scores;
+    };
+    const auto report = fix_seed(family, 4, score);
+    benchmark::DoNotOptimize(report.trajectory.back());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(targets));

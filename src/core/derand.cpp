@@ -230,21 +230,44 @@ void keep_survivors(EstimatorShard& shard, const PairwiseBitLevel& level) {
   });
 }
 
-}  // namespace detail
-
-namespace {
-
-using mpc::MachineId;
-
-std::vector<int> unfixed_bits(const PairwiseBitLevel& level) {
-  std::vector<int> out;
-  for (int i = 0; i <= level.bits(); ++i) {
-    if (!level.bit_fixed(i)) out.push_back(i);
-  }
-  return out;
+ChunkScorer luby_scorer(mpc::Simulator& sim, const MarkingFamily& family,
+                        const std::vector<LubyShard>& shards) {
+  return [&sim, &family, &shards](int j, const PairwiseBitLevel&,
+                                  std::span<const int> chunk) {
+    const std::size_t assignments = std::size_t{1} << chunk.size();
+    // Each machine evaluates its shard for every assignment inside the
+    // gather round's callback (parallel across machines when the simulator
+    // runs threaded), fixing the chunk on a private copy of the family; the
+    // shared `family` is only read.
+    return mpc::allreduce_sum_compute(
+        sim, assignments, [&](mpc::MachineId m) {
+          const LubyShard& shard = shards[m];
+          MarkingFamily local = family;
+          PairwiseBitLevel& level = local.level(j);
+          const PairwiseBitLevel saved = level;
+          std::vector<double> partials(assignments, 0.0);
+          for (std::size_t a = 0; a < assignments; ++a) {
+            for (std::size_t b = 0; b < chunk.size(); ++b) {
+              level.fix_bit(chunk[b], static_cast<int>((a >> b) & 1u));
+            }
+            double psi = 0.0;
+            for (const LubyShard::Singleton& s : shard.singles) {
+              psi += s.w * local.prob_mark(s.id, s.depth);
+            }
+            for (const LubyShard::Pair& t : shard.pairs) {
+              psi -= t.w * local.prob_mark_both(t.u, t.du, t.v, t.dv);
+            }
+            partials[a] = psi;
+            level = saved;
+          }
+          return partials;
+        });
+  };
 }
 
-}  // namespace
+}  // namespace detail
+
+using mpc::MachineId;
 
 DerandMarkResult derand_mark(mpc::Simulator& sim, const mpc::DistGraph& dg,
                              const std::vector<bool>& candidates_mask,
@@ -324,49 +347,33 @@ DerandMarkResult derand_mark(mpc::Simulator& sim, const mpc::DistGraph& dg,
   }
 
   // --- chunked conditional expectations ------------------------------------
-  for (int j = 0; j < k; ++j) {
-    PairwiseBitLevel& level = family.level(j);
-    while (!level.fully_fixed()) {
-      std::vector<int> todo = unfixed_bits(level);
-      const int take =
-          std::min<int>(options.chunk_bits, static_cast<int>(todo.size()));
-      todo.resize(static_cast<std::size_t>(take));
-      const std::uint32_t assignments = 1u << take;
-
-      // Each machine evaluates its shard for every assignment, in one
-      // counting pass, inside the gather round's callback (parallel across
-      // machines when the simulator runs threaded); the partials are summed
-      // with one width-2*2^c allreduce (2 real MPC rounds). `level` and the
-      // shards are only read here.
-      const detail::FutureFactors f = future_factors(j);
-      const std::vector<double> totals = mpc::allreduce_sum_compute(
-          sim, 2 * static_cast<std::size_t>(assignments),
-          [&](MachineId m) {
-            return detail::chunk_partials(shards[m], level, todo, f);
-          });
-
-      double best_phi = 0.0;
-      std::uint32_t best_a = 0;
-      bool have_best = false;
-      for (std::uint32_t a = 0; a < assignments; ++a) {
-        const double phi =
-            totals[2 * a] - lambda * totals[2 * a + 1] / budget;
-        if (!have_best || phi > best_phi) {
-          have_best = true;
-          best_phi = phi;
-          best_a = a;
-        }
-      }
-      for (int b = 0; b < take; ++b) {
-        level.fix_bit(todo[static_cast<std::size_t>(b)], (best_a >> b) & 1u);
-      }
-      ++result.chunks;
+  // Each machine evaluates its shard for every assignment, in one counting
+  // pass, inside the gather round's callback (parallel across machines when
+  // the simulator runs threaded); the partials are summed with one
+  // width-2*2^c allreduce (2 real MPC rounds). `level` and the shards are
+  // only read here.
+  auto score = [&](int j, const PairwiseBitLevel& level,
+                   std::span<const int> chunk) {
+    const detail::FutureFactors f = future_factors(j);
+    const std::size_t assignments = std::size_t{1} << chunk.size();
+    const std::vector<double> totals = mpc::allreduce_sum_compute(
+        sim, 2 * assignments, [&](MachineId m) {
+          return detail::chunk_partials(shards[m], level, chunk, f);
+        });
+    std::vector<double> phi(assignments);
+    for (std::size_t a = 0; a < assignments; ++a) {
+      phi[a] = totals[2 * a] - lambda * totals[2 * a + 1] / budget;
     }
-    // Level finalized: every machine filters its shard locally (free).
+    return phi;
+  };
+  // Level finalized: every machine filters its shard locally (free).
+  auto keep_survivors = [&](int j) {
     for (detail::EstimatorShard& shard : shards) {
-      detail::keep_survivors(shard, level);
+      detail::keep_survivors(shard, family.level(j));
     }
-  }
+  };
+  result.chunks = fix_seed(family, options.chunk_bits, score, keep_survivors)
+                      .chunks;
 
   // --- realized outcome (all quantities now deterministic) -----------------
   {

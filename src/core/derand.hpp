@@ -21,7 +21,7 @@
 // p*|T_v| <= 1, keeping the Bonferroni bound Z_v <= 1[some T_v member
 // marked] tight), p = 2^-k is the marking probability, and lambda = 8|T|.
 // With p*|T_v| in (1/2, 1] and E[X] <= budget/32 these give E[Phi] >= |T|/8,
-// and the conditional-expectations engine turns that expectation into a
+// and fix_seed (util/cond_expect.hpp) turns that expectation into a
 // certainty. See DESIGN.md §3.1 for the derivation.
 //
 // Distribution: every machine holds estimator shards for the targets and
@@ -126,6 +126,36 @@ std::vector<double> chunk_partials(const EstimatorShard& shard,
 // Drops every list member and edge endpoint whose bit is 0 under the fully
 // fixed `level`.
 void keep_survivors(EstimatorShard& shard, const PairwiseBitLevel& level);
+
+// One machine's terms of a Luby-style estimator over ids with per-id
+// truncation depths (det_luby over vertices, det_matching over edges):
+//
+//   Psi = sum_singles w * P(M_id)  -  sum_pairs w * P(M_u AND M_v)
+//
+// with M_x the mark of x at its own depth. Ids are vertex or edge ids.
+struct LubyShard {
+  struct Singleton {
+    std::uint32_t id;
+    double w;
+    int depth;
+  };
+  struct Pair {
+    std::uint32_t v;
+    std::uint32_t u;
+    double w;
+    int dv;
+    int du;
+  };
+  std::vector<Singleton> singles;
+  std::vector<Pair> pairs;
+};
+
+// fix_seed scorer of Psi over `family`, shards[m] held by machine m: one
+// width-2^c allreduce (2 MPC rounds) of per-machine partials, each the terms
+// in shard order (singles added, then pairs subtracted) under every
+// assignment in turn. Keeps references to all three arguments.
+ChunkScorer luby_scorer(mpc::Simulator& sim, const MarkingFamily& family,
+                        const std::vector<LubyShard>& shards);
 
 }  // namespace detail
 }  // namespace rsets

@@ -2,8 +2,9 @@
 // that the paper's algorithm improves upon.
 //
 // Each iteration derandomizes one Luby step with the same machinery as the
-// ruling-set algorithm (pairwise-independent marking family + distributed
-// conditional expectations), but with *per-vertex* marking probabilities
+// ruling-set algorithm (pairwise-independent marking family, seed fixed
+// through fix_seed with the detail::luby_scorer it shares with
+// det_matching), but with *per-vertex* marking probabilities
 // p_v = 2^-k_v in (1/(4 deg v), 1/(2 deg v)] realized as per-vertex
 // truncation depths of one shared seed. The pessimistic estimator is
 //

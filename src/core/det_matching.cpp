@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/derand.hpp"
 #include "mpc/dist_graph.hpp"
-#include "mpc/primitives.hpp"
 #include "util/bits.hpp"
-#include "util/cond_expect.hpp"
 #include "util/hash_family.hpp"
 #include "util/logging.hpp"
 
@@ -65,12 +64,10 @@ DetMatchingResult det_matching_mpc(const Graph& g, const mpc::MpcConfig& cfg,
   const auto num_edges = static_cast<std::uint32_t>(edges.size());
   // Storage for edge-id bookkeeping at owners (already covered by the
   // adjacency charge shape-wise; charge the id words explicitly).
+  std::vector<std::size_t> id_words(m_count, 0);
+  for (const Edge& e : edges) ++id_words[dg.owner(e.u)];
   for (MachineId m = 0; m < m_count; ++m) {
-    std::size_t words = 0;
-    for (std::uint32_t e = 0; e < num_edges; ++e) {
-      if (dg.owner(edges[e].u) == m) ++words;
-    }
-    sim.machine(m).charge_storage(words);
+    sim.machine(m).charge_storage(id_words[m]);
   }
 
   std::vector<bool> vertex_matched(g.num_vertices(), false);
@@ -137,85 +134,27 @@ DetMatchingResult det_matching_mpc(const Graph& g, const mpc::MpcConfig& cfg,
     MarkingFamily family(std::max<std::uint32_t>(num_edges, 2), k_max);
 
     // Estimator shards by owner: singleton per active edge; pair terms per
-    // adjacent active edge pair (f beats e), assigned to e's owner.
-    struct PairTerm {
-      std::uint32_t e;
-      std::uint32_t f;
-      int de;
-      int df;
-    };
-    std::vector<std::vector<std::uint32_t>> singles(m_count);
-    std::vector<std::vector<PairTerm>> pairs(m_count);
+    // adjacent active edge pair (f beats e), assigned to e's owner. Both
+    // weigh w_e = edge_deg(e) + 1.
+    std::vector<detail::LubyShard> shards(m_count);
     for (std::uint32_t e = 0; e < num_edges; ++e) {
       if (!edge_active[e]) continue;
-      const MachineId m = dg.owner(edges[e].u);
-      singles[m].push_back(e);
+      detail::LubyShard& shard = shards[dg.owner(edges[e].u)];
+      const double w = static_cast<double>(edge_deg[e]) + 1.0;
+      shard.singles.push_back({e, w, depth_of(e)});
       for (VertexId endpoint : {edges[e].u, edges[e].v}) {
         for (std::uint32_t f : incident[endpoint]) {
           if (f == e || !edge_active[f]) continue;
           if (beats(edge_deg[f], f, edge_deg[e], e)) {
-            pairs[m].push_back({e, f, depth_of(e), depth_of(f)});
+            shard.pairs.push_back({e, f, w, depth_of(e), depth_of(f)});
           }
         }
       }
     }
-
-    // Chunked conditional expectations (same allreduce structure as the
-    // ruling-set marking step).
-    const int total_bits = family.total_seed_bits();
-    int global_bit = 0;
-    while (global_bit < total_bits) {
-      const int lvl = family.locate(global_bit).first;
-      std::vector<int> todo;
-      for (int b = global_bit;
-           b < total_bits && family.locate(b).first == lvl &&
-           static_cast<int>(todo.size()) < options.chunk_bits;
-           ++b) {
-        todo.push_back(b);
-      }
-      const std::uint32_t assignments = 1u << todo.size();
-      // Shard evaluation runs inside the gather round's callback (parallel
-      // across machines when the simulator runs threaded); each callback
-      // fixes the chunk on a private copy of the family.
-      const auto totals = mpc::allreduce_sum_compute(
-          sim, assignments, [&](MachineId m) {
-            MarkingFamily local = family;
-            const PairwiseBitLevel saved = local.level(lvl);
-            std::vector<double> partials(assignments, 0.0);
-            for (std::uint32_t a = 0; a < assignments; ++a) {
-              for (std::size_t b = 0; b < todo.size(); ++b) {
-                local.fix_global_bit(todo[b], (a >> b) & 1u);
-              }
-              double psi = 0.0;
-              for (std::uint32_t e : singles[m]) {
-                const double w = static_cast<double>(edge_deg[e]) + 1.0;
-                psi += w * local.prob_mark(e, depth_of(e));
-              }
-              for (const PairTerm& t : pairs[m]) {
-                const double w = static_cast<double>(edge_deg[t.e]) + 1.0;
-                psi -= w * local.prob_mark_both(t.f, t.df, t.e, t.de);
-              }
-              partials[a] = psi;
-              local.level(lvl) = saved;
-            }
-            return partials;
-          });
-      std::uint32_t best_a = 0;
-      double best = 0.0;
-      bool have = false;
-      for (std::uint32_t a = 0; a < assignments; ++a) {
-        if (!have || totals[a] > best) {
-          have = true;
-          best = totals[a];
-          best_a = a;
-        }
-      }
-      for (std::size_t b = 0; b < todo.size(); ++b) {
-        family.fix_global_bit(todo[b], (best_a >> b) & 1u);
-      }
-      ++result.derand_chunks;
-      global_bit += static_cast<int>(todo.size());
-    }
+    result.derand_chunks +=
+        fix_seed(family, options.chunk_bits,
+                 detail::luby_scorer(sim, family, shards))
+            .chunks;
 
     // Winners: marked edges with no marked beating adjacent edge; locally
     // evaluable from the shared seed + exchanged degrees.

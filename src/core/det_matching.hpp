@@ -4,7 +4,8 @@
 // Maximal matching is the edge-world sibling of MIS: the same Luby-style
 // step (mark edges with probability ~1/(2 * edge-degree), locally minimal
 // marked edges join) derandomizes with the same pairwise-independent
-// marking family and conditional-expectations engine, using the estimator
+// marking family, the same seed-fixing driver (fix_seed) and the same
+// scorer as det_luby (detail::luby_scorer), using the estimator
 //
 //   Psi = sum_e w_e * ( P(M_e) - sum_{f ~ e, f > e} P(M_f AND M_e) )
 //

@@ -2,76 +2,45 @@
 
 #include <stdexcept>
 
-#include "util/logging.hpp"
-
 namespace rsets {
 
-void SeedEstimator::on_level_fixed(int /*j*/) {}
-
-namespace {
-
-// Indices (within a level) of the unfixed seed bits.
-std::vector<int> unfixed_bits(const PairwiseBitLevel& level) {
-  std::vector<int> out;
-  for (int i = 0; i <= level.bits(); ++i) {
-    if (!level.bit_fixed(i)) out.push_back(i);
-  }
-  return out;
-}
-
-}  // namespace
-
-FixReport fix_seed(MarkingFamily& family, SeedEstimator& estimator,
-                   const FixOptions& options) {
-  if (options.chunk_bits < 1 || options.chunk_bits > 16) {
+FixReport fix_seed(MarkingFamily& family, int chunk_bits,
+                   const ChunkScorer& score,
+                   const LevelFixed& on_level_fixed) {
+  if (chunk_bits < 1 || chunk_bits > 16) {
     throw std::invalid_argument("fix_seed: chunk_bits must be in [1, 16]");
   }
   FixReport report;
-  report.initial_value = estimator.value();
-
+  std::vector<int> chunk;
   for (int j = 0; j < family.levels(); ++j) {
     PairwiseBitLevel& level = family.level(j);
     while (!level.fully_fixed()) {
-      std::vector<int> todo = unfixed_bits(level);
-      const int take = std::min<int>(options.chunk_bits,
-                                     static_cast<int>(todo.size()));
-      todo.resize(static_cast<std::size_t>(take));
-
-      // Enumerate all assignments of this chunk; first strict improvement
-      // wins, so ties break toward the smallest assignment word.
-      const PairwiseBitLevel saved = level;
-      double best_value = 0.0;
-      std::uint32_t best_assign = 0;
-      bool have_best = false;
-      for (std::uint32_t assign = 0; assign < (1u << take); ++assign) {
-        level = saved;
-        for (int b = 0; b < take; ++b) {
-          level.fix_bit(todo[static_cast<std::size_t>(b)],
-                        (assign >> b) & 1u);
-        }
-        const double v = estimator.value();
-        if (!have_best || v > best_value) {
-          have_best = true;
-          best_value = v;
-          best_assign = assign;
-        }
+      chunk.clear();
+      for (int i = 0; i <= level.bits() &&
+                      static_cast<int>(chunk.size()) < chunk_bits;
+           ++i) {
+        if (!level.bit_fixed(i)) chunk.push_back(i);
       }
-      level = saved;
-      for (int b = 0; b < take; ++b) {
-        level.fix_bit(todo[static_cast<std::size_t>(b)],
-                      (best_assign >> b) & 1u);
+      const std::vector<double> scores = score(j, level, chunk);
+      if (scores.size() != std::size_t{1} << chunk.size()) {
+        throw std::invalid_argument(
+            "fix_seed: the scorer must return 2^c scores for a c-bit chunk");
+      }
+      // First strict improvement wins, so ties break toward the smallest
+      // assignment word.
+      std::size_t best = 0;
+      for (std::size_t a = 1; a < scores.size(); ++a) {
+        if (scores[a] > scores[best]) best = a;
+      }
+      for (std::size_t b = 0; b < chunk.size(); ++b) {
+        level.fix_bit(chunk[b], static_cast<int>((best >> b) & 1u));
       }
       ++report.chunks;
-      report.bits += take;
-      report.trajectory.push_back(best_value);
+      report.bits += static_cast<int>(chunk.size());
+      report.trajectory.push_back(scores[best]);
     }
-    estimator.on_level_fixed(j);
+    if (on_level_fixed) on_level_fixed(j);
   }
-
-  report.final_value = estimator.value();
-  RSETS_TRACE << "fix_seed: " << report.bits << " bits in " << report.chunks
-              << " chunks, E[Phi]=" << report.initial_value
-              << " -> Phi=" << report.final_value;
   return report;
 }
 

@@ -127,14 +127,28 @@ TEST(DerandMark, ConsumesZeroRandomBits) {
   EXPECT_EQ(s.sim.metrics().random_words, 0u);
 }
 
+// Claim C5: a chunk of c seed bits costs one allreduce (2 rounds), and a
+// level of id_bits + 1 seed bits takes ceil((id_bits + 1) / c) chunks.
 TEST(DerandMark, RoundCostIsTwoPerChunk) {
   const Graph g = gen::gnp(200, 0.08, 2);
-  Harness s(g);
   const auto targets = high_degree_targets(g, 8);
   const std::vector<bool> all(g.num_vertices(), true);
-  const auto res =
-      derand_mark(s.sim, s.dg, all, targets, options_for(8, 1 << 20));
-  EXPECT_EQ(res.rounds, 2ull * static_cast<std::uint64_t>(res.chunks));
+  const int id_bits = bit_width_for(g.num_vertices());
+  for (int levels = 1; levels <= 4; ++levels) {
+    for (int chunk_bits : {1, 3, 4, 8}) {
+      Harness s(g);
+      DerandMarkOptions opt = options_for(8, 1 << 20, chunk_bits);
+      opt.levels = levels;
+      const auto res = derand_mark(s.sim, s.dg, all, targets, opt);
+      const std::string at = "levels=" + std::to_string(levels) +
+                             " chunk_bits=" + std::to_string(chunk_bits);
+      EXPECT_EQ(res.chunks,
+                levels * ((id_bits + 1 + chunk_bits - 1) / chunk_bits))
+          << at;
+      EXPECT_EQ(res.rounds, 2ull * static_cast<std::uint64_t>(res.chunks))
+          << at;
+    }
+  }
 }
 
 TEST(DerandMark, ChunkWidthDoesNotAffectGuarantee) {

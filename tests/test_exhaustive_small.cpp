@@ -1,9 +1,10 @@
-// Exhaustive small-graph oracle: every labelled graph on at most five
-// vertices (1 100 graphs), run through every registered algorithm at every
+// Exhaustive small-graph oracle: every labelled graph on at most six
+// vertices (33 868 graphs), run through every registered algorithm at every
 // beta in {1, 2, 3} the algorithm supports. Each output must be a valid
 // beta-ruling set — AGLP at its own guaranteed radius, which it picks from
 // n rather than from the request — and greedy must equal the sequential
-// greedy_ruling_set oracle.
+// greedy_ruling_set oracle. det_matching_mpc must return a maximal matching
+// on every one of those graphs.
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/det_matching.hpp"
 #include "core/greedy.hpp"
 #include "core/ruling_set.hpp"
 #include "graph/graph.hpp"
@@ -28,7 +30,7 @@ static void PrintTo(Algorithm algorithm, std::ostream* os) {
 
 namespace {
 
-constexpr VertexId kMaxVertices = 5;
+constexpr VertexId kMaxVertices = 6;
 
 struct SmallGraph {
   VertexId n;
@@ -36,7 +38,7 @@ struct SmallGraph {
   Graph graph;
 };
 
-std::vector<SmallGraph> all_small_graphs() {
+std::vector<SmallGraph> build_small_graphs() {
   std::vector<SmallGraph> graphs;
   for (VertexId n = 0; n <= kMaxVertices; ++n) {
     std::vector<Edge> pairs;
@@ -55,6 +57,11 @@ std::vector<SmallGraph> all_small_graphs() {
   return graphs;
 }
 
+const std::vector<SmallGraph>& all_small_graphs() {
+  static const std::vector<SmallGraph> graphs = build_small_graphs();
+  return graphs;
+}
+
 std::vector<Algorithm> registered_algorithms() {
   std::vector<Algorithm> out;
   for (const AlgorithmInfo& info : algorithm_registry()) {
@@ -66,8 +73,8 @@ std::vector<Algorithm> registered_algorithms() {
 class ExhaustiveSmallGraphs : public ::testing::TestWithParam<Algorithm> {};
 
 TEST_P(ExhaustiveSmallGraphs, EveryOutputIsAValidRulingSet) {
-  static const std::vector<SmallGraph> graphs = all_small_graphs();
-  ASSERT_EQ(graphs.size(), 1100u);
+  const std::vector<SmallGraph>& graphs = all_small_graphs();
+  ASSERT_EQ(graphs.size(), 33868u);
   const AlgorithmInfo& info = algorithm_info(GetParam());
   std::uint64_t checked = 0;
   for (std::uint32_t beta = 1; beta <= 3; ++beta) {
@@ -106,6 +113,16 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Algorithm>& info) {
       return algorithm_name(info.param);
     });
+
+TEST(ExhaustiveSmallMatching, DetMatchingIsMaximalOnEveryGraph) {
+  const std::vector<SmallGraph>& graphs = all_small_graphs();
+  ASSERT_EQ(graphs.size(), 33868u);
+  for (const SmallGraph& sg : graphs) {
+    const DetMatchingResult result = det_matching_mpc(sg.graph, {});
+    ASSERT_TRUE(is_maximal_matching(sg.graph, result.matching))
+        << "n=" << sg.n << " edge mask=" << sg.mask;
+  }
+}
 
 }  // namespace
 }  // namespace rsets

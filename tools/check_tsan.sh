@@ -15,8 +15,10 @@
 #     the record-log byte comparison), the barrier-parity suite (thread
 #     widths x fault cocktails), the dispatcher integration tests, and the
 #     gather-decode parity tests (owners serialize their records inside a
-#     round running on 4 workers), and the derandomized-marking tests (the
-#     counting estimator runs inside worker-pool round callbacks).
+#     round running on 4 workers), the derandomized-marking tests (the
+#     counting estimator runs inside worker-pool round callbacks), and the
+#     seed-fixing driver tests plus the det_luby/det_matching pins at 4
+#     workers (their scorers run inside worker-pool round callbacks too).
 #   * Stage 2 (chaos soak): a short tools/chaos_soak run. The soak rotates
 #     the simulator thread width across schedules, so the parallel barrier
 #     runs under crash/corrupt/reorder/quarantine fault pressure with TSan
@@ -42,7 +44,7 @@ cmake --build "$build_dir" --target rsets_tests chaos_soak -j "$(nproc)"
 
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     "$build_dir/tests/rsets_tests" \
-    --gtest_filter='Simulator*:Primitives*:DistGraph*:ThreadedDeterminism*:*/ThreadedDeterminism*:BarrierParity*:*/BarrierParityFaults*:FnvBatch*:Api.*:ServeMpc*:ServeConcurrent*:GatherDecode*:DerandMark*'
+    --gtest_filter='Simulator*:Primitives*:DistGraph*:ThreadedDeterminism*:*/ThreadedDeterminism*:BarrierParity*:*/BarrierParityFaults*:FnvBatch*:Api.*:ServeMpc*:ServeConcurrent*:GatherDecode*:DerandMark*:FixSeed*:DerandDrivers*'
 
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     "$build_dir/tools/chaos_soak" --schedules=6 --n=400 --machines=8
