@@ -11,11 +11,15 @@
 // dominated by the recompute (MPC outputs are global functions of the
 // graph), so throughput scales near-linearly with batch size until the
 // escalation threshold flips epochs to the full tier and adds the full
-// certification pass on top.
+// certification pass on top. BM_ServeChurnJournaled repeats every rate with
+// the epoch journal on (written under the bench build tree), so the
+// durability cost of each committed epoch shows next to the unjournaled row.
 #include "bench_common.hpp"
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/chaos.hpp"
@@ -39,7 +43,7 @@ double percentile(std::vector<double> xs, double p) {
   return xs[std::min(rank, xs.size() - 1)];
 }
 
-void BM_ServeChurn(benchmark::State& state) {
+void run_serve_churn(benchmark::State& state, const std::string& journal) {
   const auto permille = static_cast<std::uint64_t>(state.range(0));
   const Graph g = gen::gnp(kN, kAvgDeg / kN, 29);
   const std::uint64_t batch_updates =
@@ -49,6 +53,7 @@ void BM_ServeChurn(benchmark::State& state) {
   cfg.options.algorithm = Algorithm::kDetRulingMpc;
   cfg.options.beta = 2;
   cfg.options.mpc = default_mpc();
+  cfg.journal_path = journal;
   serve::BatchReport last;
   std::vector<double> latency_ms;
   std::uint64_t raw_updates = 0;
@@ -80,6 +85,10 @@ void BM_ServeChurn(benchmark::State& state) {
         static_cast<double>(m.certifications_full);
     state.counters["set_size"] =
         static_cast<double>(service.ruling_set().size());
+    if (!journal.empty()) {
+      state.counters["journal_writes"] =
+          static_cast<double>(m.journal_writes);
+    }
   }
   add_host_context_once();
   state.counters["churn_permille"] = static_cast<double>(permille);
@@ -98,7 +107,25 @@ void BM_ServeChurn(benchmark::State& state) {
   }
 }
 
+void BM_ServeChurn(benchmark::State& state) { run_serve_churn(state, ""); }
+
+void BM_ServeChurnJournaled(benchmark::State& state) {
+  const std::string journal =
+      std::string(RSETS_BENCH_SCRATCH_DIR) + "/serve_churn.rsj";
+  run_serve_churn(state, journal);
+  for (const char* suffix : {"", ".prev", ".tmp"}) {
+    std::remove((journal + suffix).c_str());
+  }
+}
+
 BENCHMARK(BM_ServeChurn)
+    ->Arg(static_cast<long>(kRatesPermille[0]))
+    ->Arg(static_cast<long>(kRatesPermille[1]))
+    ->Arg(static_cast<long>(kRatesPermille[2]))
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_ServeChurnJournaled)
     ->Arg(static_cast<long>(kRatesPermille[0]))
     ->Arg(static_cast<long>(kRatesPermille[1]))
     ->Arg(static_cast<long>(kRatesPermille[2]))

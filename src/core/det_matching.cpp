@@ -62,12 +62,15 @@ DetMatchingResult det_matching_mpc(const Graph& g, const mpc::MpcConfig& cfg,
   // is owned by owner(u) — the machine that stores u's adjacency row.
   const std::vector<Edge> edges = g.edges();
   const auto num_edges = static_cast<std::uint32_t>(edges.size());
-  // Storage for edge-id bookkeeping at owners (already covered by the
-  // adjacency charge shape-wise; charge the id words explicitly).
-  std::vector<std::size_t> id_words(m_count, 0);
-  for (const Edge& e : edges) ++id_words[dg.owner(e.u)];
+  // Each owner's edge ids, ascending. Storage for this bookkeeping is
+  // already covered by the adjacency charge shape-wise; charge the id words
+  // explicitly.
+  std::vector<std::vector<std::uint32_t>> owned(m_count);
+  for (std::uint32_t e = 0; e < num_edges; ++e) {
+    owned[dg.owner(edges[e].u)].push_back(e);
+  }
   for (MachineId m = 0; m < m_count; ++m) {
-    sim.machine(m).charge_storage(id_words[m]);
+    sim.machine(m).charge_storage(owned[m].size());
   }
 
   std::vector<bool> vertex_matched(g.num_vertices(), false);
@@ -111,8 +114,8 @@ DetMatchingResult det_matching_mpc(const Graph& g, const mpc::MpcConfig& cfg,
     sim.round([&](mpc::Machine& machine, const mpc::Inbox&) {
       const MachineId m = machine.id();
       std::vector<std::vector<Word>> buckets(m_count);
-      for (std::uint32_t e = 0; e < num_edges; ++e) {
-        if (!edge_active[e] || dg.owner(edges[e].u) != m) continue;
+      for (std::uint32_t e : owned[m]) {
+        if (!edge_active[e]) continue;
         const MachineId other = dg.owner(edges[e].v);
         if (other != m) {
           buckets[other].push_back(e);

@@ -30,6 +30,37 @@ constexpr std::uint64_t kJournalMagic = 0x31304A5652535352ull;
 // service), same no-silent-upgrade policy as checkpoint v4 / replay v5.
 constexpr std::uint64_t kJournalVersion = 2;
 
+constexpr auto kUnreached = std::numeric_limits<std::uint32_t>::max();
+
+// Truncated BFS from v: is some w != v within β hops with member(w)? Stops
+// at the first such w, so it reads at most v's own β-ball. `dist` is an
+// all-kUnreached scratch of size n and `touched` doubles as the BFS queue;
+// every entry the probe wrote is reset before it returns, so one pair of
+// scratch arrays serves any number of probes at O(probe) each.
+template <typename Member>
+bool member_within(const DynamicGraph& g, VertexId v, std::uint32_t beta,
+                   const Member& member, std::vector<std::uint32_t>& dist,
+                   std::vector<VertexId>& touched) {
+  bool found = false;
+  touched.assign(1, v);
+  dist[v] = 0;
+  for (std::size_t head = 0; head < touched.size() && !found; ++head) {
+    const VertexId x = touched[head];
+    if (dist[x] >= beta) break;  // BFS order: every later x is as far
+    for (VertexId w : g.neighbors(x)) {
+      if (dist[w] != kUnreached) continue;
+      dist[w] = dist[x] + 1;
+      touched.push_back(w);
+      if (member(w)) {
+        found = true;
+        break;
+      }
+    }
+  }
+  for (VertexId w : touched) dist[w] = kUnreached;
+  return found;
+}
+
 void widen(RepairScope& into, RepairScope scope) {
   if (static_cast<std::uint8_t>(scope) > static_cast<std::uint8_t>(into)) {
     into = scope;
@@ -393,32 +424,12 @@ std::vector<VertexId> RulingSetService::cascade_repair(
   // their membership because neither their β-ball nor any smaller member
   // inside it changed.
   std::vector<VertexId> touched;
-  std::vector<std::uint32_t> dist(n, std::numeric_limits<std::uint32_t>::max());
+  std::vector<std::uint32_t> dist(n, kUnreached);
   const auto dominated_by_smaller = [&](VertexId v) {
-    bool found = false;
-    touched.clear();
-    dist[v] = 0;
-    touched.push_back(v);
-    std::deque<VertexId> q{v};
-    while (!q.empty() && !found) {
-      const VertexId x = q.front();
-      q.pop_front();
-      if (dist[x] >= beta) continue;
-      for (VertexId w : graph_.neighbors(x)) {
-        if (dist[w] != std::numeric_limits<std::uint32_t>::max()) continue;
-        dist[w] = dist[x] + 1;
-        touched.push_back(w);
-        if (w < v && in_set_[w]) {
-          found = true;
-          break;
-        }
-        q.push_back(w);
-      }
-    }
-    for (VertexId w : touched) {
-      dist[w] = std::numeric_limits<std::uint32_t>::max();
-    }
-    return found;
+    return member_within(
+        graph_, v, beta,
+        [&](VertexId w) { return w < v && static_cast<bool>(in_set_[w]); },
+        dist, touched);
   };
 
   *pops = 0;
@@ -491,11 +502,20 @@ void RulingSetService::certify_epoch(std::span<const VertexId> dirty_seeds,
 
 void RulingSetService::write_journal() {
   if (config_.journal_path.empty()) return;
+  // Reserve the exact image size up front: growing the multi-megabyte image
+  // by doubling would copy it about twice over on every epoch.
+  const std::string alg = algorithm_name(config_.options.algorithm);
+  std::size_t image =
+      8 * (14 + graph_.num_vertices() + 3 * pending_.size() +
+           4 * tombstones_.size()) +
+      sizeof(VertexId) * (2 * graph_.num_edges() + set_.size()) + alg.size();
+  for (const ProducerTombstone& t : tombstones_) image += t.reason.size();
   std::vector<std::uint8_t> bytes;
+  bytes.reserve(image);
   mpc::SnapshotWriter w(bytes);
   w.u64(kJournalMagic);
   w.u64(kJournalVersion);
-  w.str(algorithm_name(config_.options.algorithm));
+  w.str(alg);
   w.u64(config_.options.beta);
   w.u64(epoch_);
   w.u64(std::bit_cast<std::uint64_t>(churn_ewma_));
@@ -677,34 +697,22 @@ bool region_valid(const DynamicGraph& g, std::span<const VertexId> set,
       if (in_set[w]) return false;
     }
   }
-  // Domination: multi-source BFS from the members of the β-hop fringe
-  // around the region, restricted to the fringe. Complete for region
-  // targets: every vertex on a ≤β-hop path ending inside the region is
-  // itself within β of the region, hence inside the fringe.
-  const std::vector<VertexId> fringe = g.ball(region, beta);
-  std::vector<bool> in_fringe(n, false);
-  for (VertexId v : fringe) in_fringe[v] = true;
-  constexpr auto kUnreached = std::numeric_limits<std::uint32_t>::max();
+  // Domination: a truncated BFS from each non-member region vertex that
+  // stops at the first member. A ≤β-hop path from v lies inside v's own
+  // β-ball, so nothing outside the region's β-balls is read, and a probe
+  // usually ends within its first hop. As in is_beta_ruling_set, a vertex
+  // no member reaches sits at distance kUnreached, so β = kUnreached asks
+  // for no domination at all.
+  if (beta == kUnreached) return true;
   std::vector<std::uint32_t> dist(n, kUnreached);
-  std::deque<VertexId> queue;
-  for (VertexId v : fringe) {
-    if (in_set[v]) {
-      dist[v] = 0;
-      queue.push_back(v);
-    }
-  }
-  while (!queue.empty()) {
-    const VertexId v = queue.front();
-    queue.pop_front();
-    if (dist[v] >= beta) continue;
-    for (VertexId w : g.neighbors(v)) {
-      if (!in_fringe[w] || dist[w] != kUnreached) continue;
-      dist[w] = dist[v] + 1;
-      queue.push_back(w);
-    }
-  }
+  std::vector<VertexId> touched;
+  const auto is_member = [&in_set](VertexId w) {
+    return static_cast<bool>(in_set[w]);
+  };
   for (VertexId v : region) {
-    if (dist[v] > beta) return false;
+    if (!in_set[v] && !member_within(g, v, beta, is_member, dist, touched)) {
+      return false;
+    }
   }
   return true;
 }

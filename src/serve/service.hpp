@@ -257,10 +257,12 @@ class RulingSetService {
 
 // Frontier-restricted sequential validity check, exposed for tests and the
 // chaos harness: independence for members inside `region` plus
-// β-domination of every region vertex, examined only through the β-hop
-// fringe around the region. Sound as a per-epoch certificate when, outside
-// `region`, neither the graph nor the membership changed since the last
-// certified epoch (DESIGN.md §4.7).
+// β-domination of every region vertex, each non-member probed by a BFS that
+// stops at its first member within β hops. It reads only the region's
+// members' neighbours and the probed β-balls, never the rest of the graph.
+// Sound as a per-epoch certificate when, outside `region`, neither the graph
+// nor the membership changed since the last certified epoch (DESIGN.md
+// §4.7).
 bool region_valid(const DynamicGraph& g, std::span<const VertexId> set,
                   std::uint32_t beta, std::span<const VertexId> region);
 

@@ -4,7 +4,11 @@
 // beta-ruling set — AGLP at its own guaranteed radius, which it picks from
 // n rather than from the request — and greedy must equal the sequential
 // greedy_ruling_set oracle. det_matching_mpc must return a maximal matching
-// on every one of those graphs.
+// on every one of those graphs. On the graphs with at most five vertices the
+// service's region check must agree with is_beta_ruling_set on every subset,
+// and every single-edge toggle through a RulingSetService must reproduce a
+// from-scratch recompute.
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -17,6 +21,9 @@
 #include "core/ruling_set.hpp"
 #include "graph/graph.hpp"
 #include "graph/verify.hpp"
+#include "serve/dynamic_graph.hpp"
+#include "serve/service.hpp"
+#include "serve/updates.hpp"
 #include "util/bits.hpp"
 
 namespace rsets {
@@ -31,6 +38,8 @@ static void PrintTo(Algorithm algorithm, std::ostream* os) {
 namespace {
 
 constexpr VertexId kMaxVertices = 6;
+// The service sweeps stop one vertex short: 1 100 graphs.
+constexpr VertexId kMaxServiceVertices = 5;
 
 struct SmallGraph {
   VertexId n;
@@ -121,6 +130,82 @@ TEST(ExhaustiveSmallMatching, DetMatchingIsMaximalOnEveryGraph) {
     const DetMatchingResult result = det_matching_mpc(sg.graph, {});
     ASSERT_TRUE(is_maximal_matching(sg.graph, result.matching))
         << "n=" << sg.n << " edge mask=" << sg.mask;
+  }
+}
+
+TEST(ExhaustiveSmallService, RegionValidOverAllVerticesIsTheOracle) {
+  std::uint64_t checked = 0;
+  for (const SmallGraph& sg : all_small_graphs()) {
+    if (sg.n > kMaxServiceVertices) continue;
+    const serve::DynamicGraph dg(sg.graph);
+    std::vector<VertexId> all(sg.n);
+    for (VertexId v = 0; v < sg.n; ++v) all[v] = v;
+    for (std::uint32_t subset = 0; subset < (1u << sg.n); ++subset) {
+      std::vector<VertexId> set;
+      for (VertexId v = 0; v < sg.n; ++v) {
+        if ((subset >> v) & 1) set.push_back(v);
+      }
+      for (std::uint32_t beta = 1; beta <= 3; ++beta) {
+        ASSERT_EQ(serve::region_valid(dg, set, beta, all),
+                  is_beta_ruling_set(sg.graph, set, beta))
+            << "beta=" << beta << " n=" << sg.n << " edge mask=" << sg.mask
+            << " subset=" << subset;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+// Each single-edge toggle, and the toggle back, is one region-certified
+// frontier epoch: greedy's exact cascade, or det_ruling_mpc's rerun. Every
+// epoch's set must equal a from-scratch recompute on the new graph.
+TEST(ExhaustiveSmallService, EverySingleEdgeToggleMatchesFromScratch) {
+  for (Algorithm algorithm :
+       {Algorithm::kGreedySequential, Algorithm::kDetRulingMpc}) {
+    const AlgorithmInfo& info = algorithm_info(algorithm);
+    for (std::uint32_t beta = std::max(info.min_beta, 1u); beta <= 3;
+         ++beta) {
+      serve::ServiceConfig cfg;
+      cfg.options.algorithm = algorithm;
+      cfg.options.beta = beta;
+      cfg.full_threshold = 1.0;    // a churn fraction never exceeds 1
+      cfg.full_certify_every = 0;  // so every epoch is region-certified
+      for (const SmallGraph& sg : all_small_graphs()) {
+        if (sg.n < 2 || sg.n > kMaxServiceVertices) continue;
+        serve::RulingSetService service(sg.graph, cfg);
+        std::uint64_t epochs = 0;
+        for (VertexId u = 0; u < sg.n; ++u) {
+          for (VertexId v = u + 1; v < sg.n; ++v) {
+            for (int pass = 0; pass < 2; ++pass) {
+              const bool present = service.graph().has_edge(u, v);
+              serve::UpdateBatch batch;
+              batch.updates.push_back(
+                  {present ? serve::EdgeUpdate::Op::kDelete
+                           : serve::EdgeUpdate::Op::kInsert,
+                   u, v});
+              const std::string where =
+                  std::string(info.name) + " beta=" + std::to_string(beta) +
+                  " n=" + std::to_string(sg.n) +
+                  " edge mask=" + std::to_string(sg.mask) + " toggle " +
+                  std::to_string(u) + "-" + std::to_string(v) + " pass " +
+                  std::to_string(pass);
+              const serve::BatchReport report = service.apply(batch);
+              ASSERT_EQ(report.scope, serve::RepairScope::kFrontier) << where;
+              ASSERT_TRUE(report.certified) << where;
+              const RulingSetResult truth =
+                  compute_ruling_set(service.snapshot(), cfg.options);
+              ASSERT_EQ(service.ruling_set(), truth.ruling_set) << where;
+              ++epochs;
+            }
+          }
+        }
+        const serve::ServiceMetrics& m = service.metrics();
+        ASSERT_EQ(m.certifications_region, epochs);
+        ASSERT_EQ(m.cascade_repairs,
+                  algorithm == Algorithm::kGreedySequential ? epochs : 0u);
+      }
+    }
   }
 }
 

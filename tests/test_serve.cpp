@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -13,6 +16,7 @@
 #include <vector>
 
 #include "core/chaos.hpp"
+#include "core/greedy.hpp"
 #include "core/replay.hpp"
 #include "serve/dynamic_graph.hpp"
 #include "serve/service.hpp"
@@ -257,6 +261,182 @@ TEST(ServeRegionValid, RejectsIndependenceAndDominationViolations) {
   EXPECT_FALSE(region_valid(dg, adjacent, 2, all));
   const std::vector<VertexId> oob = {0, 99};
   EXPECT_FALSE(region_valid(dg, oob, 2, all));
+}
+
+// The fringe-wide check region_valid used before its per-vertex probes: a
+// multi-source BFS from every member of ball(region, β), restricted to that
+// fringe. Kept only as the parity reference below.
+bool region_valid_reference(const DynamicGraph& g,
+                            std::span<const VertexId> set, std::uint32_t beta,
+                            std::span<const VertexId> region) {
+  const VertexId n = g.num_vertices();
+  std::vector<bool> in_set(n, false);
+  for (VertexId v : set) {
+    if (v >= n) return false;
+    in_set[v] = true;
+  }
+  for (VertexId v : region) {
+    if (v >= n) return false;
+    if (!in_set[v]) continue;
+    for (VertexId w : g.neighbors(v)) {
+      if (in_set[w]) return false;
+    }
+  }
+  const std::vector<VertexId> fringe = g.ball(region, beta);
+  std::vector<bool> in_fringe(n, false);
+  for (VertexId v : fringe) in_fringe[v] = true;
+  constexpr auto kUnreached = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> dist(n, kUnreached);
+  std::deque<VertexId> queue;
+  for (VertexId v : fringe) {
+    if (in_set[v]) {
+      dist[v] = 0;
+      queue.push_back(v);
+    }
+  }
+  while (!queue.empty()) {
+    const VertexId v = queue.front();
+    queue.pop_front();
+    if (dist[v] >= beta) continue;
+    for (VertexId w : g.neighbors(v)) {
+      if (!in_fringe[w] || dist[w] != kUnreached) continue;
+      dist[w] = dist[v] + 1;
+      queue.push_back(w);
+    }
+  }
+  for (VertexId v : region) {
+    if (dist[v] > beta) return false;
+  }
+  return true;
+}
+
+// Per-vertex probes accept exactly what the fringe BFS accepted: seeded gnp
+// graphs at three densities x β in {0..3} x random, churn-ball and
+// all-vertex regions, on greedy's valid set and on broken ones (a member
+// removed, a member's neighbour added, an edge between two members, an
+// out-of-range id in the set or the region).
+TEST(ServeRegionValid, ProbesMatchFringeReferenceOnValidAndBrokenSets) {
+  struct Shape {
+    VertexId n;
+    double avg_deg;
+  };
+  constexpr Shape kShapes[] = {{2000, 2.0}, {1200, 6.0}, {600, 16.0}};
+  std::mt19937_64 rng(20);
+  std::uint64_t broken_true = 0;
+  std::uint64_t broken_false = 0;
+  for (const Shape& shape : kShapes) {
+    const Graph g = make_graph(shape.n, shape.avg_deg, shape.n);
+    const DynamicGraph dg(g);
+    const VertexId n = shape.n;
+    std::uniform_int_distribution<VertexId> any_vertex(0, n - 1);
+    for (std::uint32_t beta = 0; beta <= 3; ++beta) {
+      std::vector<std::vector<VertexId>> regions;
+      for (std::size_t size : {std::size_t{1}, std::size_t{40},
+                               std::size_t{n / 3}}) {
+        std::vector<VertexId> region;
+        for (std::size_t i = 0; i < size; ++i) {
+          region.push_back(any_vertex(rng));
+        }
+        std::sort(region.begin(), region.end());
+        region.erase(std::unique(region.begin(), region.end()), region.end());
+        regions.push_back(std::move(region));
+      }
+      std::vector<VertexId> endpoints;
+      for (const EdgeUpdate& u :
+           chaos_churn_batch(7, beta, 0, n, 20).updates) {
+        endpoints.push_back(u.u);
+        endpoints.push_back(u.v);
+      }
+      std::sort(endpoints.begin(), endpoints.end());
+      endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
+                      endpoints.end());
+      regions.push_back(dg.ball(endpoints, beta));
+      std::vector<VertexId> all(n);
+      for (VertexId v = 0; v < n; ++v) all[v] = v;
+      regions.push_back(all);
+
+      const std::vector<VertexId> valid =
+          greedy_ruling_set(g, std::max(beta, 1u));
+      ASSERT_FALSE(valid.empty());
+      std::uniform_int_distribution<std::size_t> any_member(0,
+                                                            valid.size() - 1);
+      // Broken sets on the same graph, plus one broken graph.
+      std::vector<std::vector<VertexId>> broken;
+      for (int k = 0; k < 3; ++k) {
+        std::vector<VertexId> removed = valid;
+        removed.erase(removed.begin() +
+                      static_cast<std::ptrdiff_t>(any_member(rng)));
+        broken.push_back(std::move(removed));
+      }
+      for (int k = 0; k < 3; ++k) {
+        const VertexId member = valid[any_member(rng)];
+        const auto nbrs = dg.neighbors(member);
+        if (nbrs.empty()) continue;
+        std::vector<VertexId> added = valid;
+        added.push_back(nbrs[rng() % nbrs.size()]);
+        broken.push_back(std::move(added));
+      }
+      std::vector<VertexId> oob_set = valid;
+      oob_set.push_back(n);
+      DynamicGraph joined = dg;
+      const bool joined_ok =
+          valid.size() >= 2 && joined.insert(valid[0], valid[valid.size() / 2]);
+      ASSERT_TRUE(joined_ok);
+
+      for (const std::vector<VertexId>& region : regions) {
+        const std::string where = "n=" + std::to_string(n) +
+                                  " beta=" + std::to_string(beta) +
+                                  " region=" + std::to_string(region.size());
+        const bool got = region_valid(dg, valid, beta, region);
+        ASSERT_EQ(got, region_valid_reference(dg, valid, beta, region))
+            << where;
+        if (beta > 0) {
+          EXPECT_TRUE(got) << where;
+        }
+        const auto check_broken = [&](const DynamicGraph& graph,
+                                      std::span<const VertexId> set,
+                                      std::span<const VertexId> reg) {
+          const bool probe = region_valid(graph, set, beta, reg);
+          ASSERT_EQ(probe, region_valid_reference(graph, set, beta, reg))
+              << where << " set=" << set.size();
+          ++(probe ? broken_true : broken_false);
+        };
+        for (const std::vector<VertexId>& set : broken) {
+          check_broken(dg, set, region);
+        }
+        check_broken(joined, valid, region);
+        check_broken(dg, oob_set, region);
+        std::vector<VertexId> oob_region = region;
+        oob_region.push_back(n + 5);
+        check_broken(dg, valid, oob_region);
+      }
+    }
+  }
+  // Red and green both occur: some breaks fall outside the region checked.
+  EXPECT_GT(broken_true, 0u);
+  EXPECT_GT(broken_false, 0u);
+}
+
+// β = 2^32 - 1 leaves nothing to dominate, exactly as the fringe reference
+// (and is_beta_ruling_set) read it; β = 0 needs every region vertex in the
+// set.
+TEST(ServeRegionValid, ExtremeBetasMatchFringeReference) {
+  const std::vector<Edge> edges = {{0, 1}, {1, 2}, {3, 4}};
+  const DynamicGraph dg(Graph::from_edges(6, edges));
+  const std::vector<VertexId> all = {0, 1, 2, 3, 4, 5};
+  const std::vector<VertexId> one = {1};
+  const std::vector<VertexId> both_sides = {0, 2, 3, 5};
+  for (std::uint32_t beta :
+       {0u, 1u, 2u, std::numeric_limits<std::uint32_t>::max()}) {
+    for (const std::vector<VertexId>* set : {&one, &both_sides, &all}) {
+      EXPECT_EQ(region_valid(dg, *set, beta, all),
+                region_valid_reference(dg, *set, beta, all))
+          << "beta=" << beta << " set=" << set->size();
+    }
+  }
+  EXPECT_FALSE(region_valid(dg, one, 1, all));  // vertices 3-5 unreached
+  EXPECT_TRUE(region_valid(dg, one, std::numeric_limits<std::uint32_t>::max(),
+                           all));
 }
 
 // ------------------------------------------------------------ greedy tier --
