@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/derand.hpp"
+#include "core/phase_common.hpp"
 #include "mpc/dist_graph.hpp"
 #include "util/bits.hpp"
 #include "util/hash_family.hpp"
@@ -86,12 +87,12 @@ RulingSetResult det_luby_mis_mpc(mpc::Simulator& sim, mpc::DistGraph& dg,
     sim.drain([](mpc::Machine&, const mpc::Inbox&) {});
 
     // Isolated actives join immediately (no estimator work needed).
-    std::vector<bool> joined(n, false);
+    std::vector<std::uint8_t> joined(n, 0);
     bool any_positive_degree = false;
     for (VertexId v = 0; v < n; ++v) {
       if (!dg.active(v)) continue;
       if (adeg[v] == 0) {
-        joined[v] = true;
+        joined[v] = 1;
       } else {
         any_positive_degree = true;
       }
@@ -141,47 +142,17 @@ RulingSetResult det_luby_mis_mpc(mpc::Simulator& sim, mpc::DistGraph& dg,
               break;
             }
           }
-          if (!blocked) joined[v] = true;
+          if (!blocked) joined[v] = 1;
         }
       }
     }
 
     // Announce joins (1 round); owners retire joiners + dominated.
-    std::vector<std::vector<Word>> join_lists(m_count);
-    for (MachineId m = 0; m < m_count; ++m) {
-      for (VertexId v : dg.owned(m)) {
-        if (joined[v]) join_lists[m].push_back(v);
-      }
-    }
-    sim.round([&](mpc::Machine& machine, const mpc::Inbox&) {
-      const MachineId src = machine.id();
-      if (join_lists[src].empty()) return;
-      for (MachineId dst = 0; dst < m_count; ++dst) {
-        if (dst != src) machine.send(dst, 0x91, join_lists[src]);
-      }
-    });
-    sim.drain([](mpc::Machine&, const mpc::Inbox&) {});
-
-    std::vector<std::vector<VertexId>> removals(m_count);
-    for (MachineId m = 0; m < m_count; ++m) {
-      for (VertexId v : dg.owned(m)) {
-        if (!dg.active(v)) continue;
-        bool leave = joined[v];
-        if (!leave) {
-          for (VertexId u : dg.neighbors(v)) {
-            if (dg.active(u) && joined[u]) {
-              leave = true;
-              break;
-            }
-          }
-        }
-        if (leave) removals[m].push_back(v);
-      }
-    }
+    detail::announce_marked(sim, dg, joined, 0x91);
     for (VertexId v = 0; v < n; ++v) {
       if (joined[v]) mis.push_back(v);
     }
-    dg.deactivate(sim, removals);
+    detail::remove_ball(sim, dg, joined, 1);
   }
 
   std::sort(mis.begin(), mis.end());

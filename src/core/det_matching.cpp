@@ -5,6 +5,7 @@
 
 #include "core/derand.hpp"
 #include "mpc/dist_graph.hpp"
+#include "mpc/primitives.hpp"
 #include "util/bits.hpp"
 #include "util/hash_family.hpp"
 #include "util/logging.hpp"
@@ -189,14 +190,7 @@ DetMatchingResult det_matching_mpc(const Graph& g, const mpc::MpcConfig& cfg,
     for (std::uint32_t e : winners) {
       lists[dg.owner(edges[e].u)].push_back(e);
     }
-    sim.round([&](mpc::Machine& machine, const mpc::Inbox&) {
-      const MachineId src = machine.id();
-      if (lists[src].empty()) return;
-      for (MachineId dst = 0; dst < m_count; ++dst) {
-        if (dst != src) machine.send(dst, 0xA6, lists[src]);
-      }
-    });
-    sim.drain([](mpc::Machine&, const mpc::Inbox&) {});
+    mpc::announce(sim, lists, 0xA6);
 
     for (std::uint32_t e : winners) {
       result.matching.push_back(edges[e]);

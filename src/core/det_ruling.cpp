@@ -6,10 +6,7 @@
 
 #include "core/derand.hpp"
 #include "core/phase_common.hpp"
-#include "core/greedy.hpp"
-#include "graph/ops.hpp"
 #include "mpc/dist_graph.hpp"
-#include "mpc/primitives.hpp"
 #include "util/bits.hpp"
 #include "util/logging.hpp"
 
@@ -17,6 +14,7 @@ namespace rsets {
 using detail::count_active_edges;
 using detail::gather_and_mis;
 using detail::remove_ball;
+using detail::solve_residual;
 using mpc::MachineId;
 using mpc::Simulator;
 
@@ -52,29 +50,7 @@ RulingSetResult det_ruling_set_mpc(Simulator& sim, mpc::DistGraph& dg,
 
   while (dg.active_count() > 0) {
     const std::uint64_t m_active = count_active_edges(sim, dg);
-    if (m_active == 0) {
-      // Only isolated active vertices remain: all of them join (they have
-      // no active neighbors, and active vertices never neighbor the set).
-      std::vector<std::vector<VertexId>> batches(sim.num_machines());
-      for (VertexId v : dg.active_vertices()) {
-        ruling.push_back(v);
-        batches[dg.owner(v)].push_back(v);
-      }
-      dg.deactivate(sim, batches);
-      break;
-    }
-    if (2 * m_active + 2 * dg.active_count() <= budget) {
-      // Final gather: solve the small residual exactly.
-      const std::vector<VertexId> members = dg.active_vertices();
-      std::vector<std::uint8_t> mask(n, 0);
-      for (VertexId v : members) mask[v] = 1;
-      const auto mis = gather_and_mis(sim, dg, members, mask);
-      ruling.insert(ruling.end(), mis.begin(), mis.end());
-      std::vector<std::vector<VertexId>> batches(sim.num_machines());
-      for (VertexId v : members) batches[dg.owner(v)].push_back(v);
-      dg.deactivate(sim, batches);
-      break;
-    }
+    if (solve_residual(sim, dg, m_active, budget, ruling)) break;
 
     const std::uint32_t delta = dg.active_max_degree(sim);
     result.degree_trajectory.push_back(delta);

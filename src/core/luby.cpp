@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "core/phase_common.hpp"
 #include "mpc/dist_graph.hpp"
-#include "mpc/primitives.hpp"
 #include "util/logging.hpp"
 
 namespace rsets {
@@ -67,7 +67,7 @@ RulingSetResult luby_mis_mpc(mpc::Simulator& sim, mpc::DistGraph& dg) {
     });
     // Boundary: owners fold received neighbor priorities into join
     // decisions (smallest (priority, id) in closed neighborhood wins).
-    std::vector<bool> joined(n, false);
+    std::vector<std::uint8_t> joined(n, 0);
     {
       // Byte-per-vertex: written from inside the drain callback (each owner
       // writes only vertices it owns, but bit-packed elements share bytes
@@ -98,47 +98,17 @@ RulingSetResult luby_mis_mpc(mpc::Simulator& sim, mpc::DistGraph& dg) {
       });
       for (MachineId m = 0; m < m_count; ++m) {
         for (VertexId v : dg.owned(m)) {
-          if (dg.active(v) && !blocked[v]) joined[v] = true;
+          if (dg.active(v) && !blocked[v]) joined[v] = 1;
         }
       }
     }
     // Round B: announce joiners cluster-wide (replicated knowledge), then
-    // owners retire joiners and their neighbors in one deactivation round.
-    std::vector<std::vector<Word>> join_lists(m_count);
-    for (MachineId m = 0; m < m_count; ++m) {
-      for (VertexId v : dg.owned(m)) {
-        if (joined[v]) join_lists[m].push_back(v);
-      }
-    }
-    sim.round([&](mpc::Machine& machine, const mpc::Inbox&) {
-      const MachineId src = machine.id();
-      if (join_lists[src].empty()) return;
-      for (MachineId dst = 0; dst < m_count; ++dst) {
-        if (dst != src) machine.send(dst, 0x71, join_lists[src]);
-      }
-    });
-    sim.drain([](mpc::Machine&, const mpc::Inbox&) {});
-
-    std::vector<std::vector<VertexId>> removals(m_count);
-    for (MachineId m = 0; m < m_count; ++m) {
-      for (VertexId v : dg.owned(m)) {
-        if (!dg.active(v)) continue;
-        bool leave = joined[v];
-        if (!leave) {
-          for (VertexId u : dg.neighbors(v)) {
-            if (dg.active(u) && joined[u]) {
-              leave = true;
-              break;
-            }
-          }
-        }
-        if (leave) removals[m].push_back(v);
-      }
-    }
+    // retire joiners and their active neighbours in one deactivation round.
+    detail::announce_marked(sim, dg, joined, 0x71);
     for (VertexId v = 0; v < n; ++v) {
       if (joined[v]) mis.push_back(v);
     }
-    dg.deactivate(sim, removals);
+    detail::remove_ball(sim, dg, joined, 1);
   }
 
   std::sort(mis.begin(), mis.end());

@@ -106,9 +106,9 @@ std::vector<VertexId> gather_and_mis(Simulator& sim,
 }
 
 // Deactivates every active vertex within `radius` hops of the marked set
-// `in_marked` (hop 1 is locally decidable because marks are seed-evaluable
-// everywhere; further hops cost one notification round each) and then one
-// deactivation round. Returns the number of removed vertices.
+// `in_marked` (hop 1 is locally decidable because marks are replicated,
+// seed-evaluable or announced; further hops cost one notification round
+// each) and then one deactivation round. Returns the number of removals.
 std::uint64_t remove_ball(Simulator& sim, mpc::DistGraph& dg,
                           const std::vector<std::uint8_t>& in_marked,
                           std::uint32_t radius) {
@@ -162,16 +162,43 @@ std::uint64_t remove_ball(Simulator& sim, mpc::DistGraph& dg,
     frontier = std::move(next);
   }
   // One deactivation round.
-  std::vector<std::vector<VertexId>> batches(m_count);
-  std::uint64_t count = 0;
+  std::vector<VertexId> removals;
   for (VertexId v = 0; v < n; ++v) {
-    if (removed[v]) {
-      batches[dg.owner(v)].push_back(v);
-      ++count;
+    if (removed[v]) removals.push_back(v);
+  }
+  dg.deactivate(sim, removals);
+  return removals.size();
+}
+
+void announce_marked(Simulator& sim, const mpc::DistGraph& dg,
+                     const std::vector<std::uint8_t>& in_marked,
+                     std::uint32_t tag) {
+  std::vector<std::vector<Word>> lists(sim.num_machines());
+  for (MachineId m = 0; m < sim.num_machines(); ++m) {
+    for (VertexId v : dg.owned(m)) {
+      if (in_marked[v]) lists[m].push_back(v);
     }
   }
-  dg.deactivate(sim, batches);
-  return count;
+  mpc::announce(sim, lists, tag);
+}
+
+bool solve_residual(Simulator& sim, mpc::DistGraph& dg,
+                    std::uint64_t m_active, std::uint64_t budget,
+                    std::vector<VertexId>& out) {
+  if (m_active != 0 && 2 * m_active + 2 * dg.active_count() > budget) {
+    return false;
+  }
+  const std::vector<VertexId> members = dg.active_vertices();
+  if (m_active == 0) {
+    out.insert(out.end(), members.begin(), members.end());
+  } else {
+    std::vector<std::uint8_t> mask(dg.num_vertices(), 0);
+    for (VertexId v : members) mask[v] = 1;
+    const auto mis = gather_and_mis(sim, dg, members, mask);
+    out.insert(out.end(), mis.begin(), mis.end());
+  }
+  dg.deactivate(sim, members);
+  return true;
 }
 
 }  // namespace rsets::detail

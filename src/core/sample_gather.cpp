@@ -12,8 +12,8 @@ namespace rsets {
 using detail::count_active_edges;
 using detail::gather_and_mis;
 using detail::remove_ball;
+using detail::solve_residual;
 using mpc::MachineId;
-using mpc::Word;
 
 RulingSetResult sample_gather_2ruling(const Graph& g,
                                       const mpc::MpcConfig& cfg,
@@ -40,27 +40,7 @@ RulingSetResult sample_gather_2ruling(const Graph& g,
 
   while (dg.active_count() > 0) {
     const std::uint64_t m_active = count_active_edges(sim, dg);
-    if (m_active == 0) {
-      // Only isolated active vertices remain: all join directly.
-      std::vector<std::vector<VertexId>> batches(m_count);
-      for (VertexId v : dg.active_vertices()) {
-        ruling.push_back(v);
-        batches[dg.owner(v)].push_back(v);
-      }
-      dg.deactivate(sim, batches);
-      break;
-    }
-    if (2 * m_active + 2 * dg.active_count() <= budget) {
-      const std::vector<VertexId> members = dg.active_vertices();
-      std::vector<std::uint8_t> mask(n, 0);
-      for (VertexId v : members) mask[v] = 1;
-      const auto mis = gather_and_mis(sim, dg, members, mask);
-      ruling.insert(ruling.end(), mis.begin(), mis.end());
-      std::vector<std::vector<VertexId>> batches(m_count);
-      for (VertexId v : members) batches[dg.owner(v)].push_back(v);
-      dg.deactivate(sim, batches);
-      break;
-    }
+    if (solve_residual(sim, dg, m_active, budget, ruling)) break;
 
     const std::uint32_t delta = dg.active_max_degree(sim);
     result.degree_trajectory.push_back(delta);
@@ -78,7 +58,6 @@ RulingSetResult sample_gather_2ruling(const Graph& g,
                        std::sqrt(8.0 * static_cast<double>(m_active) /
                                  static_cast<double>(budget))));
     const double p = std::min(1.0, c * log_n / d);
-    (void)delta;
 
     // Sample (owners flip coins), retry if the realized sample would blow
     // the gather budget — a low-probability event the analysis absorbs.
@@ -100,20 +79,7 @@ RulingSetResult sample_gather_2ruling(const Graph& g,
       // Announce the sample cluster-wide (1 round) so edge filtering and
       // ball removal are locally decidable, mirroring the seed broadcast of
       // the deterministic algorithm.
-      std::vector<std::vector<Word>> lists(m_count);
-      for (MachineId m = 0; m < m_count; ++m) {
-        for (VertexId v : dg.owned(m)) {
-          if (sampled[v]) lists[m].push_back(v);
-        }
-      }
-      sim.round([&](mpc::Machine& machine, const mpc::Inbox&) {
-        const MachineId src = machine.id();
-        if (lists[src].empty()) return;
-        for (MachineId dst = 0; dst < m_count; ++dst) {
-          if (dst != src) machine.send(dst, 0x80, lists[src]);
-        }
-      });
-      sim.drain([](mpc::Machine&, const mpc::Inbox&) {});
+      detail::announce_marked(sim, dg, sampled, 0x80);
       for (VertexId v = 0; v < n; ++v) {
         if (sampled[v]) sample.push_back(v);
       }

@@ -36,11 +36,21 @@ std::uint32_t domination_radius(const Graph& g,
   return radius;
 }
 
+namespace {
+
+// Radius UINT32_MAX means a vertex no member reaches, which no β allows,
+// not even β = UINT32_MAX.
+bool within(std::uint32_t radius, std::uint32_t beta) {
+  return radius < std::numeric_limits<std::uint32_t>::max() && radius <= beta;
+}
+
+}  // namespace
+
 bool is_beta_ruling_set(const Graph& g, std::span<const VertexId> set,
                         std::uint32_t beta) {
   if (!is_independent_set(g, set)) return false;
   if (g.num_vertices() == 0) return true;
-  return domination_radius(g, set) <= beta;
+  return within(domination_radius(g, set), beta);
 }
 
 bool is_maximal_independent_set(const Graph& g,
@@ -111,7 +121,7 @@ RulingSetReport check_ruling_set(const Graph& g,
   report.size = set.size();
   report.independent = is_independent_set(g, set);
   report.radius = g.num_vertices() == 0 ? 0 : domination_radius(g, set);
-  report.valid = report.independent && report.radius <= beta;
+  report.valid = report.independent && within(report.radius, beta);
   return report;
 }
 

@@ -23,7 +23,8 @@ bool is_independent_set(const Graph& g, std::span<const VertexId> set);
 std::uint32_t domination_radius(const Graph& g,
                                 std::span<const VertexId> set);
 
-// True iff `set` is independent and every vertex is within `beta` hops.
+// True iff `set` is independent and every vertex is within `beta` hops of
+// a member; a vertex no member reaches fails at every β, UINT32_MAX too.
 bool is_beta_ruling_set(const Graph& g, std::span<const VertexId> set,
                         std::uint32_t beta);
 

@@ -84,40 +84,23 @@ std::uint32_t DistGraph::active_max_degree(Simulator& sim) const {
   return static_cast<std::uint32_t>(allreduce_max(sim, local_max));
 }
 
-void DistGraph::deactivate(
-    Simulator& sim,
-    const std::vector<std::vector<VertexId>>& per_machine_removals) {
-  if (per_machine_removals.size() != num_machines_) {
-    throw std::invalid_argument("deactivate: need one batch per machine");
-  }
-  // Validate ownership (catches driver bugs early).
-  for (MachineId m = 0; m < num_machines_; ++m) {
-    for (VertexId v : per_machine_removals[m]) {
-      if (owner(v) != m) {
-        throw std::logic_error("deactivate: machine announced a vertex it "
-                               "does not own");
-      }
+void DistGraph::deactivate(Simulator& sim,
+                           std::span<const VertexId> vertices) {
+  std::vector<std::vector<Word>> announced(num_machines_);
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    const VertexId v = vertices[i];
+    if (v >= num_vertices_ || (i > 0 && v <= vertices[i - 1])) {
+      throw std::logic_error(
+          "deactivate: vertices must be strictly ascending and in range");
     }
+    announced[owner(v)].push_back(v);
   }
-  // One round: every machine broadcasts its removal list to all others.
-  sim.round([&](Machine& machine, const Inbox&) {
-    const MachineId src = machine.id();
-    if (per_machine_removals[src].empty()) return;
-    std::vector<Word> payload;
-    payload.reserve(per_machine_removals[src].size());
-    for (VertexId v : per_machine_removals[src]) payload.push_back(v);
-    for (MachineId dst = 0; dst < num_machines_; ++dst) {
-      if (dst != src) machine.send(dst, 0xDE, payload);
-    }
-  });
-  sim.drain([](Machine&, const Inbox&) {});
+  announce(sim, announced, 0xDE);
   // Apply to the replicated bitset (identical update on every machine).
-  for (MachineId m = 0; m < num_machines_; ++m) {
-    for (VertexId v : per_machine_removals[m]) {
-      if (active_[v]) {
-        active_[v] = false;
-        --active_count_;
-      }
+  for (VertexId v : vertices) {
+    if (active_[v]) {
+      active_[v] = false;
+      --active_count_;
     }
   }
 }

@@ -8,8 +8,8 @@
 //
 // An *activity* bitset over all vertices is replicated on every machine
 // (n bits each = n/64 words; this is the near-linear-memory regime the
-// paper's main algorithm lives in). Deactivations are announced via an
-// all-to-all broadcast costing one round per batch; total announcement
+// paper's main algorithm lives in). Deactivations are announced by their
+// owners to every other machine, one round per batch; total announcement
 // traffic over a whole run is O(n * M) words since each vertex deactivates
 // once.
 #pragma once
@@ -75,11 +75,11 @@ class DistGraph : public Snapshotable {
   // Active degree of an owned vertex (local scan).
   std::uint32_t active_degree(VertexId v) const;
 
-  // Deactivates a batch of vertices cluster-wide. `per_machine_removals[m]`
-  // is what machine m announces (they must own those vertices). Costs one
-  // round. Words sent by machine m: |removals_m| * (M-1) + headers.
-  void deactivate(Simulator& sim,
-                  const std::vector<std::vector<VertexId>>& per_machine_removals);
+  // Deactivates `vertices` cluster-wide: each owner announces its share
+  // (mpc::announce, tag 0xDE), in ascending order. Costs one round. Words
+  // sent by machine m: |owned share| * (M-1) + headers. Throws
+  // std::logic_error unless `vertices` is strictly ascending and in range.
+  void deactivate(Simulator& sim, std::span<const VertexId> vertices);
 
   // All currently active vertices (driver-side convenience; owners know
   // their own, and the replicated bitset makes this consistent).

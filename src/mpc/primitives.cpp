@@ -154,6 +154,23 @@ std::uint64_t allreduce_sum_u64(Simulator& sim,
   return total;
 }
 
+void announce(Simulator& sim,
+              const std::vector<std::vector<Word>>& per_machine_lists,
+              std::uint32_t tag) {
+  const MachineId m_count = sim.num_machines();
+  if (per_machine_lists.size() != m_count) {
+    throw std::invalid_argument("announce: need one list per machine");
+  }
+  sim.round([&](Machine& machine, const Inbox&) {
+    const MachineId src = machine.id();
+    if (per_machine_lists[src].empty()) return;
+    for (MachineId dst = 0; dst < m_count; ++dst) {
+      if (dst != src) machine.send(dst, tag, per_machine_lists[src]);
+    }
+  });
+  sim.drain([](Machine&, const Inbox&) {});
+}
+
 std::vector<std::vector<std::vector<Word>>> all_to_all(
     Simulator& sim, const std::vector<std::vector<std::vector<Word>>>& out,
     std::uint32_t tag) {

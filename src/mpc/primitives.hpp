@@ -7,6 +7,7 @@
 //   gather_to       1 round   (all machines send to root)
 //   allreduce_*     2 rounds  (gather + broadcast)
 //   all_to_all      1 round
+//   announce        1 round   (every machine sends its list to all others)
 #pragma once
 
 #include <cstdint>
@@ -60,6 +61,15 @@ std::uint64_t allreduce_max(Simulator& sim,
 std::uint64_t allreduce_sum_u64(Simulator& sim,
                                 const std::vector<std::uint64_t>& values,
                                 std::uint32_t tag = 0xD1);
+
+// Machine m sends its list `per_machine_lists[m]`, when non-empty, to every
+// other machine in ascending order; receivers read nothing. This is how a
+// machine makes what it owns cluster-replicated knowledge (joiners, samples,
+// winners, deactivations): every machine applies the announced lists to its
+// replica of the state outside the round.
+void announce(Simulator& sim,
+              const std::vector<std::vector<Word>>& per_machine_lists,
+              std::uint32_t tag);
 
 // out[i][j] = words machine i sends machine j; returns in[j][i].
 std::vector<std::vector<std::vector<Word>>> all_to_all(

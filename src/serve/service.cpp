@@ -701,9 +701,7 @@ bool region_valid(const DynamicGraph& g, std::span<const VertexId> set,
   // stops at the first member. A ≤β-hop path from v lies inside v's own
   // β-ball, so nothing outside the region's β-balls is read, and a probe
   // usually ends within its first hop. As in is_beta_ruling_set, a vertex
-  // no member reaches sits at distance kUnreached, so β = kUnreached asks
-  // for no domination at all.
-  if (beta == kUnreached) return true;
+  // no member reaches fails at every β, kUnreached included.
   std::vector<std::uint32_t> dist(n, kUnreached);
   std::vector<VertexId> touched;
   const auto is_member = [&in_set](VertexId w) {

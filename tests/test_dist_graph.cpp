@@ -61,45 +61,59 @@ TEST(DistGraph, ActiveDegreeTracksDeactivation) {
   EXPECT_EQ(dg.active_max_degree(sim), 9u);
 
   // Deactivate four leaves (announced by their owners).
-  std::vector<std::vector<VertexId>> removals(sim.num_machines());
-  for (VertexId v : {1, 2, 3, 4}) {
-    removals[dg.owner(v)].push_back(v);
-  }
-  dg.deactivate(sim, removals);
+  const std::vector<VertexId> leaves = {1, 2, 3, 4};
+  dg.deactivate(sim, leaves);
   EXPECT_EQ(dg.active_count(), 6u);
   EXPECT_EQ(dg.active_degree(0), 5u);
   EXPECT_FALSE(dg.active(1));
   EXPECT_TRUE(dg.active(0));
 }
 
-TEST(DistGraph, DeactivateValidatesOwnership) {
+TEST(DistGraph, DeactivateRejectsUnsortedDuplicateAndOutOfRangeLists) {
   Simulator sim(config_for(1 << 16));
   const Graph g = gen::path(10);
   DistGraph dg(sim, g);
-  std::vector<std::vector<VertexId>> removals(sim.num_machines());
-  const VertexId v = 3;
-  const MachineId wrong = (dg.owner(v) + 1) % sim.num_machines();
-  removals[wrong].push_back(v);
-  EXPECT_THROW(dg.deactivate(sim, removals), std::logic_error);
+  const auto rounds = sim.metrics().rounds;
+  const std::vector<std::vector<VertexId>> bad = {
+      {4, 3}, {2, 5, 5}, {10}, {1, 2, 10}};
+  for (const auto& list : bad) {
+    EXPECT_THROW(dg.deactivate(sim, list), std::logic_error);
+  }
+  // A rejected list spends no round and deactivates nothing.
+  EXPECT_EQ(sim.metrics().rounds, rounds);
+  EXPECT_EQ(dg.active_count(), 10u);
 }
 
+// One round in which each owner announces its share of the list to every
+// other machine: M - 1 messages per owner with a non-empty share.
 TEST(DistGraph, DeactivationCostsOneRound) {
   Simulator sim(config_for(1 << 16));
-  const Graph g = gen::path(20);
+  const Graph g = gen::path(40);
   DistGraph dg(sim, g);
-  const auto before = sim.metrics().rounds;
-  std::vector<std::vector<VertexId>> removals(sim.num_machines());
-  removals[dg.owner(5)].push_back(5);
-  dg.deactivate(sim, removals);
-  EXPECT_EQ(sim.metrics().rounds, before + 1);
+  const std::vector<VertexId> list = {0, 7, 13, 21, 39};
+  std::vector<std::size_t> share(sim.num_machines(), 0);
+  for (VertexId v : list) ++share[dg.owner(v)];
+  std::uint64_t messages = 0;
+  std::uint64_t words = 0;
+  for (std::size_t s : share) {
+    if (s == 0) continue;
+    messages += sim.num_machines() - 1;
+    words += (sim.num_machines() - 1) * (s + kHeaderWords);
+  }
+  const MpcMetrics before = sim.metrics();
+  dg.deactivate(sim, list);
+  EXPECT_EQ(sim.metrics().rounds, before.rounds + 1);
+  EXPECT_EQ(sim.metrics().messages - before.messages, messages);
+  EXPECT_EQ(sim.metrics().total_words - before.total_words, words);
+  EXPECT_EQ(dg.active_count(), 35u);
 }
 
 TEST(DistGraph, ActiveVerticesListMatchesBitset) {
   Simulator sim(config_for(1 << 16));
   const Graph g = gen::cycle(30);
   DistGraph dg(sim, g);
-  std::vector<std::vector<VertexId>> removals(sim.num_machines());
-  for (VertexId v = 0; v < 30; v += 3) removals[dg.owner(v)].push_back(v);
+  std::vector<VertexId> removals;
+  for (VertexId v = 0; v < 30; v += 3) removals.push_back(v);
   dg.deactivate(sim, removals);
   const auto active = dg.active_vertices();
   EXPECT_EQ(active.size(), 20u);
@@ -110,9 +124,7 @@ TEST(DistGraph, ActiveMaxDegreeOnEmptyActiveSet) {
   Simulator sim(config_for(1 << 16));
   const Graph g = gen::path(5);
   DistGraph dg(sim, g);
-  std::vector<std::vector<VertexId>> removals(sim.num_machines());
-  for (VertexId v = 0; v < 5; ++v) removals[dg.owner(v)].push_back(v);
-  dg.deactivate(sim, removals);
+  dg.deactivate(sim, dg.active_vertices());
   EXPECT_EQ(dg.active_count(), 0u);
   EXPECT_EQ(dg.active_max_degree(sim), 0u);
 }

@@ -215,5 +215,16 @@ TEST(Primitives, AllToAll) {
   EXPECT_EQ(sim.metrics().rounds, 1u);
 }
 
+// Each non-empty list goes to every other machine: 3 + 3 messages of
+// 2 + 2 and 1 + 2 words; empty lists send nothing.
+TEST(Primitives, AnnounceSendsEachNonEmptyListToEveryOtherMachine) {
+  Simulator sim(small_config(4));
+  announce(sim, {{5, 6}, {}, {7}, {}}, 0x42);
+  EXPECT_EQ(sim.metrics().rounds, 1u);
+  EXPECT_EQ(sim.metrics().messages, 6u);
+  EXPECT_EQ(sim.metrics().total_words, 3u * 4u + 3u * 3u);
+  EXPECT_THROW(announce(sim, {{1}, {2}}, 0x42), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace rsets::mpc

@@ -18,6 +18,7 @@
 #include "core/chaos.hpp"
 #include "core/greedy.hpp"
 #include "core/replay.hpp"
+#include "graph/verify.hpp"
 #include "serve/dynamic_graph.hpp"
 #include "serve/service.hpp"
 #include "serve/updates.hpp"
@@ -305,7 +306,7 @@ bool region_valid_reference(const DynamicGraph& g,
     }
   }
   for (VertexId v : region) {
-    if (dist[v] > beta) return false;
+    if (dist[v] == kUnreached || dist[v] > beta) return false;
   }
   return true;
 }
@@ -417,9 +418,9 @@ TEST(ServeRegionValid, ProbesMatchFringeReferenceOnValidAndBrokenSets) {
   EXPECT_GT(broken_false, 0u);
 }
 
-// β = 2^32 - 1 leaves nothing to dominate, exactly as the fringe reference
-// (and is_beta_ruling_set) read it; β = 0 needs every region vertex in the
-// set.
+// β = 2^32 - 1 still needs every region vertex reached by a member, exactly
+// as the fringe reference and is_beta_ruling_set read it; β = 0 needs every
+// region vertex in the set.
 TEST(ServeRegionValid, ExtremeBetasMatchFringeReference) {
   const std::vector<Edge> edges = {{0, 1}, {1, 2}, {3, 4}};
   const DynamicGraph dg(Graph::from_edges(6, edges));
@@ -434,9 +435,15 @@ TEST(ServeRegionValid, ExtremeBetasMatchFringeReference) {
           << "beta=" << beta << " set=" << set->size();
     }
   }
-  EXPECT_FALSE(region_valid(dg, one, 1, all));  // vertices 3-5 unreached
-  EXPECT_TRUE(region_valid(dg, one, std::numeric_limits<std::uint32_t>::max(),
-                           all));
+  // Vertices 3-5 are unreached from {1}, which fails at every β: the
+  // component {3, 4} and the isolated 5 have no member.
+  const Graph g = Graph::from_edges(6, edges);
+  for (std::uint32_t beta :
+       {1u, 2u, std::numeric_limits<std::uint32_t>::max()}) {
+    EXPECT_FALSE(region_valid(dg, one, beta, all)) << "beta=" << beta;
+    EXPECT_FALSE(is_beta_ruling_set(g, one, beta)) << "beta=" << beta;
+  }
+  EXPECT_TRUE(region_valid(dg, both_sides, 2, all));
 }
 
 // ------------------------------------------------------------ greedy tier --

@@ -72,6 +72,21 @@ TEST(Verify, DisconnectedGraphReportsInfiniteRadius) {
       is_beta_ruling_set(g, std::vector<VertexId>{0, 2, 3, 5}, 2));
 }
 
+// A vertex no member reaches has radius UINT32_MAX, which fails even at
+// β = UINT32_MAX: the empty set, and a set missing a whole component.
+TEST(Verify, UnreachedVertexFailsAtTheLargestBeta) {
+  constexpr auto kMaxBeta = std::numeric_limits<std::uint32_t>::max();
+  const Graph g = Graph::from_edges(6, std::vector<Edge>{{0, 1}, {1, 2},
+                                                         {3, 4}});
+  EXPECT_FALSE(is_beta_ruling_set(g, {}, kMaxBeta));
+  EXPECT_FALSE(is_beta_ruling_set(g, std::vector<VertexId>{1}, kMaxBeta));
+  EXPECT_FALSE(check_ruling_set(g, std::vector<VertexId>{1}, kMaxBeta).valid);
+  EXPECT_TRUE(
+      is_beta_ruling_set(g, std::vector<VertexId>{1, 3, 5}, kMaxBeta));
+  EXPECT_TRUE(
+      check_ruling_set(g, std::vector<VertexId>{1, 3, 5}, kMaxBeta).valid);
+}
+
 TEST(Verify, MisDetection) {
   const Graph g = gen::cycle(6);
   EXPECT_TRUE(is_maximal_independent_set(g, std::vector<VertexId>{0, 2, 4}));

@@ -18,7 +18,9 @@
 #     round running on 4 workers), the derandomized-marking tests (the
 #     counting estimator runs inside worker-pool round callbacks), and the
 #     seed-fixing driver tests plus the det_luby/det_matching pins at 4
-#     workers (their scorers run inside worker-pool round callbacks too).
+#     workers (their scorers run inside worker-pool round callbacks too),
+#     and the luby/sample_gather pins and every MPC driver under a crash
+#     with checkpoints at 4 workers.
 #   * Stage 2 (chaos soak): a short tools/chaos_soak run. The soak rotates
 #     the simulator thread width across schedules, so the parallel barrier
 #     runs under crash/corrupt/reorder/quarantine fault pressure with TSan
@@ -44,7 +46,7 @@ cmake --build "$build_dir" --target rsets_tests chaos_soak -j "$(nproc)"
 
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     "$build_dir/tests/rsets_tests" \
-    --gtest_filter='Simulator*:Primitives*:DistGraph*:ThreadedDeterminism*:*/ThreadedDeterminism*:BarrierParity*:*/BarrierParityFaults*:FnvBatch*:Api.*:ServeMpc*:ServeConcurrent*:GatherDecode*:DerandMark*:FixSeed*:DerandDrivers*'
+    --gtest_filter='Simulator*:Primitives*:DistGraph*:ThreadedDeterminism*:*/ThreadedDeterminism*:BarrierParity*:*/BarrierParityFaults*:FnvBatch*:Api.*:ServeMpc*:ServeConcurrent*:GatherDecode*:DerandMark*:FixSeed*:DerandDrivers*:MpcDriverPins*'
 
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     "$build_dir/tools/chaos_soak" --schedules=6 --n=400 --machines=8

@@ -40,6 +40,7 @@
 #include <iostream>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -189,6 +190,56 @@ RunSpec spec_from_flags(const Flags& flags) {
   return spec;
 }
 
+// Opens the file that --`key` names into `out`. False, after an error
+// line, when it cannot be written.
+bool open_output(const Flags& flags, const std::string& key,
+                 std::ofstream& out) {
+  out.open(flags.get(key, ""));
+  if (!out) {
+    std::cerr << "error: cannot write " << flags.get(key, "") << "\n";
+    return false;
+  }
+  return true;
+}
+
+// A trace hook that writes one JSON line per round into `out`.
+mpc::TraceHook json_lines_to(std::ofstream& out) {
+  return [&out](const mpc::RoundTrace& trace) {
+    out << mpc::to_json(trace) << "\n";
+  };
+}
+
+// Writes `set` one vertex per line into --out and, with --print_set, to
+// stdout. False, after an error line, when --out cannot be written.
+bool write_set(const Flags& flags, std::span<const VertexId> set) {
+  if (flags.has("out")) {
+    std::ofstream out;
+    if (!open_output(flags, "out", out)) return false;
+    for (VertexId v : set) out << v << "\n";
+  }
+  if (flags.get_bool("print_set", false)) {
+    for (VertexId v : set) std::cout << v << "\n";
+  }
+  return true;
+}
+
+void print_fault_keys(const mpc::MpcMetrics& m) {
+  std::cout << "faults_injected=" << m.faults_injected << "\n"
+            << "checkpoints=" << m.checkpoints << "\n"
+            << "recovery_rounds=" << m.recovery_rounds << "\n";
+}
+
+// The MPC ledger keys. Fault-ledger keys appear only when the subsystem is
+// on (`faulty`), so default runs keep the historical output byte-for-byte.
+void print_mpc_ledger(const mpc::MpcMetrics& m, bool faulty) {
+  std::cout << "rounds=" << m.rounds << "\n"
+            << "words=" << m.total_words << "\n"
+            << "peak_memory_words=" << m.max_storage_words << "\n"
+            << "random_words=" << m.random_words << "\n"
+            << "violations=" << m.violations << "\n";
+  if (faulty) print_fault_keys(m);
+}
+
 int run_replay(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -207,13 +258,9 @@ int run_replay(const std::string& path) {
             << "replay_file=" << path << "\n"
             << "algorithm=" << report.spec.algorithm << "\n"
             << "phases_checked=" << report.phases_checked << "\n"
-            << "rounds=" << report.result.metrics.rounds << "\n"
-            << "faults_injected=" << report.result.metrics.faults_injected
-            << "\n"
-            << "checkpoints=" << report.result.metrics.checkpoints << "\n"
-            << "recovery_rounds=" << report.result.metrics.recovery_rounds
-            << "\n"
-            << "peak_rss_kb=" << peak_rss_kb() << "\n";
+            << "rounds=" << report.result.metrics.rounds << "\n";
+  print_fault_keys(report.result.metrics);
+  std::cout << "peak_rss_kb=" << peak_rss_kb() << "\n";
   if (!report.ok()) {
     std::cerr << "replay mismatch (" << report.mismatches
               << " total), first at " << report.first_mismatch << "\n";
@@ -255,14 +302,8 @@ int run_sharded(const Flags& flags) {
 
   std::ofstream trace_out;
   if (flags.has("trace")) {
-    trace_out.open(flags.get("trace", ""));
-    if (!trace_out) {
-      std::cerr << "error: cannot write " << flags.get("trace", "") << "\n";
-      return 2;
-    }
-    options.mpc.trace_hook = [&trace_out](const mpc::RoundTrace& trace) {
-      trace_out << mpc::to_json(trace) << "\n";
-    };
+    if (!open_output(flags, "trace", trace_out)) return 2;
+    options.mpc.trace_hook = json_lines_to(trace_out);
   }
 
   const RulingSetResult result =
@@ -276,18 +317,8 @@ int run_sharded(const Flags& flags) {
             << "machines=" << spec.machines << "\n"
             << "beta=" << options.beta << "\n"
             << "size=" << result.ruling_set.size() << "\n"
-            << "phases=" << result.phases << "\n"
-            << "rounds=" << result.metrics.rounds << "\n"
-            << "words=" << result.metrics.total_words << "\n"
-            << "peak_memory_words=" << result.metrics.max_storage_words
-            << "\n"
-            << "random_words=" << result.metrics.random_words << "\n"
-            << "violations=" << result.metrics.violations << "\n";
-  if (faulty) {
-    std::cout << "faults_injected=" << result.metrics.faults_injected << "\n"
-              << "checkpoints=" << result.metrics.checkpoints << "\n"
-              << "recovery_rounds=" << result.metrics.recovery_rounds << "\n";
-  }
+            << "phases=" << result.phases << "\n";
+  print_mpc_ledger(result.metrics, faulty);
 
   // Certify through the same sharded ingestion: the clean-room simulator
   // regenerates its shards, never touching a global edge list.
@@ -298,17 +329,7 @@ int run_sharded(const Flags& flags) {
             << "certified=" << (cert.valid() ? 1 : 0) << "\n"
             << "peak_rss_kb=" << peak_rss_kb() << "\n";
 
-  if (flags.has("out")) {
-    std::ofstream out(flags.get("out", ""));
-    if (!out) {
-      std::cerr << "error: cannot write " << flags.get("out", "") << "\n";
-      return 2;
-    }
-    for (VertexId v : result.ruling_set) out << v << "\n";
-  }
-  if (flags.get_bool("print_set", false)) {
-    for (VertexId v : result.ruling_set) std::cout << v << "\n";
-  }
+  if (!write_set(flags, result.ruling_set)) return 2;
   return cert.valid() ? 0 : 1;
 }
 
@@ -529,18 +550,7 @@ int run_serve(const Flags& flags) {
               << "size=" << service.ruling_set().size() << "\n"
               << "peak_rss_kb=" << peak_rss_kb() << "\n";
 
-    if (flags.has("out")) {
-      std::ofstream out(flags.get("out", ""));
-      if (!out) {
-        std::cerr << "error: cannot write " << flags.get("out", "") << "\n";
-        return 2;
-      }
-      for (VertexId v : service.ruling_set()) out << v << "\n";
-    }
-    if (flags.get_bool("print_set", false)) {
-      for (VertexId v : service.ruling_set()) std::cout << v << "\n";
-    }
-    return 0;
+    return write_set(flags, service.ruling_set()) ? 0 : 2;
   } catch (const serve::ServiceError& e) {
     // The run started but the service could not maintain its certified
     // contract — that is the "completed but failed" exit, not a usage error.
@@ -620,21 +630,11 @@ int main(int argc, char** argv) {
     std::ofstream record_out;
     std::vector<mpc::TraceHook> hooks;
     if (flags.has("trace")) {
-      trace_out.open(flags.get("trace", ""));
-      if (!trace_out) {
-        std::cerr << "error: cannot write " << flags.get("trace", "") << "\n";
-        return 2;
-      }
-      hooks.push_back([&trace_out](const mpc::RoundTrace& trace) {
-        trace_out << mpc::to_json(trace) << "\n";
-      });
+      if (!open_output(flags, "trace", trace_out)) return 2;
+      hooks.push_back(json_lines_to(trace_out));
     }
     if (flags.has("record")) {
-      record_out.open(flags.get("record", ""));
-      if (!record_out) {
-        std::cerr << "error: cannot write " << flags.get("record", "") << "\n";
-        return 2;
-      }
+      if (!open_output(flags, "record", record_out)) return 2;
       record_out << spec_to_json(spec) << "\n";
       hooks.push_back([&record_out](const mpc::RoundTrace& trace) {
         record_out << record_line(trace) << "\n";
@@ -674,21 +674,7 @@ int main(int argc, char** argv) {
                 << "random_words=" << result.congest_metrics.random_words
                 << "\n";
     } else {
-      std::cout << "rounds=" << result.metrics.rounds << "\n"
-                << "words=" << result.metrics.total_words << "\n"
-                << "peak_memory_words=" << result.metrics.max_storage_words
-                << "\n"
-                << "random_words=" << result.metrics.random_words << "\n"
-                << "violations=" << result.metrics.violations << "\n";
-      // Fault-ledger keys appear only when the subsystem is on, so default
-      // runs keep the historical output byte-for-byte.
-      if (faulty) {
-        std::cout << "faults_injected=" << result.metrics.faults_injected
-                  << "\n"
-                  << "checkpoints=" << result.metrics.checkpoints << "\n"
-                  << "recovery_rounds=" << result.metrics.recovery_rounds
-                  << "\n";
-      }
+      print_mpc_ledger(result.metrics, faulty);
       // Integrity-ledger keys appear whenever verification ran (forced by
       // corruption faults or opted into with --integrity).
       if (options.mpc.integrity || options.mpc.faults.corrupt_prob > 0.0) {
@@ -731,17 +717,7 @@ int main(int argc, char** argv) {
                 << "certified=" << (certified ? 1 : 0) << "\n";
     }
 
-    if (flags.has("out")) {
-      std::ofstream out(flags.get("out", ""));
-      if (!out) {
-        std::cerr << "error: cannot write " << flags.get("out", "") << "\n";
-        return 2;
-      }
-      for (VertexId v : result.ruling_set) out << v << "\n";
-    }
-    if (flags.get_bool("print_set", false)) {
-      for (VertexId v : result.ruling_set) std::cout << v << "\n";
-    }
+    if (!write_set(flags, result.ruling_set)) return 2;
     return report.valid && certified ? 0 : 1;
   } catch (const std::exception& e) {
     return usage(e.what());
